@@ -19,12 +19,18 @@
 //! flat on the largest smoke configuration; the full run extends the
 //! hierarchical curve to a 1 Mb+ array (1024x1024) that flat
 //! verification cannot touch in bench time.
+//!
+//! A third case is shaped like the compiler's `ram_array` macro: one
+//! 32-bit row cell stacked N and then 4N times in a single column.
+//! Every instance shares one left edge, so any step of the engine that
+//! sweeps along x alone degrades to O(N²) here. Smoke mode asserts
+//! hier(4N)/hier(N) <= 6, i.e. the column scales linearly.
 
 use bisram_bench::harness::black_box;
 use bisram_bench::{banner, quick_harness};
 use bisram_geom::{Point, Transform};
 use bisram_layout::leaf::LeafSpec;
-use bisram_layout::Cell;
+use bisram_layout::{tile, Cell};
 use bisram_tech::{drc, Process};
 use bisram_verify::{verify_cell, verify_cell_hier, NoCertStore, SchematicLib};
 use std::sync::Arc;
@@ -47,6 +53,14 @@ fn array_cells(process: &Process, rows: i64, cols: i64) -> Cell {
         }
     }
     array
+}
+
+/// `rows` copies of one 32-bit row cell in a column, as the compiler
+/// tiles `ram_array`.
+fn row_column(process: &Process, rows: usize) -> Cell {
+    let sram = Arc::new(LeafSpec::Sram6t.build(process));
+    let row = Arc::new(tile::tile_row("bench_row", sram, 32));
+    tile::tile_column("bench_column", row, rows)
 }
 
 fn array_macro(process: &Process) -> Cell {
@@ -167,6 +181,37 @@ fn main() {
          on the {n}x{n} array, measured {ratio:.2}x"
     );
     println!("PASS: hier >= 3x flat ({ratio:.1}x at {n}x{n})");
+
+    // ---- column of rows ---------------------------------------------------
+    // 4N = 4096 rows is the row count of a 16384-word, 4-bit-per-column
+    // array — the size at which an O(N²) step dominates.
+    let base_rows = 1024;
+    println!("\n-- hierarchical verification of a column of 32-bit rows --");
+    let sizes = [base_rows, 4 * base_rows];
+    let columns = sizes.map(|rows| row_column(&process, rows));
+    // Best of five, the two sizes interleaved: a ratio of two single
+    // shots is at the mercy of one scheduler hiccup, and a burst of host
+    // load then slows both sizes alike.
+    let mut column_times = [f64::INFINITY; 2];
+    for _ in 0..5 {
+        for (k, column) in columns.iter().enumerate() {
+            let start = Instant::now();
+            let report = black_box(verify_cell_hier(rules, column, &lib, &NoCertStore));
+            column_times[k] = column_times[k].min(start.elapsed().as_secs_f64());
+            assert!(report.is_clean(), "{}-row column hier report dirty:\n{report}", sizes[k]);
+        }
+    }
+    for (rows, secs) in sizes.iter().zip(column_times) {
+        println!("hier  {rows:>5} rows x 32 ({:>9} bits): {:>9.1} ms", rows * 32, secs * 1e3);
+    }
+    let growth = column_times[1] / column_times[0].max(1e-12);
+    assert!(
+        growth <= 6.0,
+        "hierarchical verification of a column must scale linearly: \
+         4x the rows took {growth:.2}x the time"
+    );
+    println!("PASS: hier column scales linearly ({growth:.2}x time for 4x rows)");
+
     if !smoke {
         let (big, secs) = hier_times.last().expect("hier configurations ran");
         println!(

@@ -9,7 +9,6 @@
 //! reuses the row-pitched ones.
 
 use super::control::ControlPlan;
-use super::exec;
 use super::key::{content_key, ContentKey};
 use super::leaves::LeafSet;
 use super::{PipelineCtx, Stage};
@@ -215,7 +214,7 @@ impl Stage for MacroStage {
                 Box::new(move || build_tlb_layout(leaves, org.spare_rows(), org.row_bits(), lambda)),
             ),
         ];
-        let cells: Vec<Arc<Cell>> = exec::run_tasks(ctx.jobs(), tasks)
+        let cells: Vec<Arc<Cell>> = bisram_exec::run_tasks(ctx.jobs(), tasks)
             .into_iter()
             .collect::<Result<_, _>>()?;
 

@@ -20,7 +20,7 @@
 //! — so repeated compiles in a sweep reuse leaf cells, tiles, and PLA
 //! layouts across parameter points that share a process. Macrocell
 //! generation inside stage 3 fans out over a scoped-thread executor
-//! ([`exec`]), bounded by [`CompileOptions::with_jobs`] or the
+//! ([`bisram_exec`]), bounded by [`CompileOptions::with_jobs`] or the
 //! `BISRAM_JOBS` environment variable. Every compile records a
 //! [`trace::PipelineTrace`] (per-stage wall time, cache traffic,
 //! artifact sizes) surfaced on `CompiledRam::trace` and printed by
@@ -31,7 +31,6 @@
 
 pub mod cache;
 pub mod control;
-pub mod exec;
 pub mod floorplan;
 pub mod key;
 pub mod leaves;
@@ -222,7 +221,7 @@ impl<'a> PipelineCtx<'a> {
         PipelineCtx {
             params,
             cache: Arc::clone(options.cache()),
-            jobs: exec::resolve_jobs(options.jobs()),
+            jobs: bisram_exec::resolve_jobs(options.jobs()),
             verify: options.verify(),
             verify_mode: options.verify_mode(),
             traces: Mutex::new(Vec::new()),

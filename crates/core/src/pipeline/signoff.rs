@@ -14,7 +14,7 @@ use super::floorplan::Floorplan;
 use super::key::content_key;
 use super::leaves::LeafKey;
 use super::macrocells::MacroSet;
-use super::{exec, PipelineCtx, Stage, VerifyMode};
+use super::{PipelineCtx, Stage, VerifyMode};
 use crate::compiler::CompileError;
 use crate::datasheet::Datasheet;
 use bisram_bist::trpla::Pla;
@@ -148,7 +148,7 @@ fn verify_macros(
             }
         })
         .collect();
-    let per_macro: Vec<Arc<CellVerifyReport>> = exec::run_tasks(ctx.jobs(), tasks)
+    let per_macro: Vec<Arc<CellVerifyReport>> = bisram_exec::run_tasks(ctx.jobs(), tasks)
         .into_iter()
         .collect::<Result<_, _>>()?;
     let mut cells: Vec<CellVerifyReport> = per_macro.iter().map(|c| (**c).clone()).collect();

@@ -56,11 +56,14 @@ impl UnionFind {
         i
     }
 
-    /// Merges the sets of `a` and `b`.
+    /// Merges the sets of `a` and `b`. The larger root is linked under
+    /// the smaller, so unions made in index order — a column of cells
+    /// merged bottom-up — leave a star instead of a chain whose every
+    /// `find` walks back to the start.
     pub fn union(&mut self, a: usize, b: usize) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
-            self.parent[ra] = rb;
+            self.parent[ra.max(rb)] = ra.min(rb);
         }
     }
 }
@@ -70,8 +73,13 @@ impl UnionFind {
 /// the touching/overlapping pairs.
 ///
 /// This is the scanline replacement for the all-pairs loop: shapes are
-/// visited in left-edge order and each forward scan stops as soon as the
-/// x-gap alone exceeds the window, which no later shape can shrink.
+/// visited in lower-edge order along one axis and each forward scan
+/// stops as soon as the gap on that axis alone exceeds the window, which
+/// no later shape can shrink. The axis is the one along which the lower
+/// edges spread further (x on a tie), so a column of stacked rows —
+/// every left edge equal — is swept bottom-up in O(n) rather than
+/// scanned in O(n²). Pairs are emitted in sweep order; callers that
+/// need a fixed order sort them.
 ///
 /// ```
 /// use bisram_geom::{sweep, Rect};
@@ -85,12 +93,24 @@ impl UnionFind {
 /// assert_eq!(pairs, vec![(0, 1)]);
 /// ```
 pub fn pair_sweep<F: FnMut(usize, usize)>(rects: &[Rect], window: Coord, mut visit: F) {
+    type Edge = fn(Rect) -> Coord;
+    let spread = |edge: Edge| {
+        let (lo, hi) = rects.iter().fold((Coord::MAX, Coord::MIN), |(lo, hi), &r| {
+            (lo.min(edge(r)), hi.max(edge(r)))
+        });
+        hi.saturating_sub(lo)
+    };
+    let (lower, upper): (Edge, Edge) = if spread(Rect::bottom) > spread(Rect::left) {
+        (Rect::bottom, Rect::top)
+    } else {
+        (Rect::left, Rect::right)
+    };
     let mut order: Vec<usize> = (0..rects.len()).collect();
-    order.sort_by_key(|&i| (rects[i].left(), i));
+    order.sort_by_key(|&i| (lower(rects[i]), i));
     for (pos, &i) in order.iter().enumerate() {
-        let reach = rects[i].right() + window;
+        let reach = upper(rects[i]) + window;
         for &j in &order[pos + 1..] {
-            if rects[j].left() > reach {
+            if lower(rects[j]) > reach {
                 break;
             }
             if rects[i].spacing(rects[j]) <= window {
@@ -183,11 +203,46 @@ mod tests {
         Rect::new(x, y, x + rng.gen_range(1i64..120), y + rng.gen_range(1i64..120))
     }
 
+    /// A stack of `n` abutting (or, with `gap`, separated) rows of one
+    /// width and a shared left edge, optionally jittered in x.
+    fn stack(rng: &mut StdRng, n: usize, gap: Coord, jitter: Coord) -> Vec<Rect> {
+        let (w, h) = (rng.gen_range(50i64..400), rng.gen_range(5i64..40));
+        (0..n as Coord)
+            .map(|k| {
+                let x = if jitter > 0 { rng.gen_range(-jitter..=jitter) } else { 0 };
+                Rect::new(x, k * (h + gap), x + w, k * (h + gap) + h)
+            })
+            .collect()
+    }
+
     #[test]
     fn pair_sweep_matches_all_pairs_reference() {
         let mut rng = StdRng::seed_from_u64(0x5EE9_0001);
-        for case in 0..64 {
-            let rects: Vec<Rect> = (0..40).map(|_| arb_rect(&mut rng)).collect();
+        for case in 0..160 {
+            // Scattered sets, tall stacks (which the sweep runs along y),
+            // single columns of unit cells, and mixtures of the three
+            // (stacks beside scattered shapes, where either axis can
+            // win).
+            let rects: Vec<Rect> = match case % 5 {
+                0 | 1 => (0..40).map(|_| arb_rect(&mut rng)).collect(),
+                2 => {
+                    let gap = rng.gen_range(0i64..20);
+                    let jitter = rng.gen_range(0i64..30);
+                    stack(&mut rng, 60, gap, jitter)
+                }
+                3 => (0..50)
+                    .map(|k| Rect::new(7, 10 * k, 17, 10 * k + 10))
+                    .collect(),
+                _ => {
+                    let gap = rng.gen_range(0i64..5);
+                    let mut v = stack(&mut rng, 30, gap, 0);
+                    v.extend((0..20).map(|_| arb_rect(&mut rng)));
+                    v.extend(stack(&mut rng, 10, 0, 0).into_iter().map(|r| {
+                        Rect::new(r.bottom(), r.left(), r.top(), r.right())
+                    }));
+                    v
+                }
+            };
             let window = rng.gen_range(0i64..80);
             let mut swept = Vec::new();
             pair_sweep(&rects, window, |i, j| swept.push((i, j)));

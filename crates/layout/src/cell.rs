@@ -44,6 +44,13 @@ pub struct Cell {
     /// used. Tiling relies on outlines so cells abut exactly at their
     /// pitch even when drawn geometry is inset.
     outline: Option<Rect>,
+    /// Bounding box of every shape in the subtree (`None` while there
+    /// is none), kept current by `add_shape`/`add_instance`. Masters are
+    /// immutable behind their `Arc`, so a child's value is final when
+    /// it is placed.
+    extent: Option<Rect>,
+    /// Shapes in the subtree, kept current the same way.
+    flat_count: usize,
 }
 
 impl Cell {
@@ -63,6 +70,8 @@ impl Cell {
     /// Adds a rectangle on a layer.
     pub fn add_shape(&mut self, layer: Layer, rect: Rect) {
         self.shapes.push((layer, rect));
+        self.grow_extent(rect);
+        self.flat_count += 1;
     }
 
     /// Adds a port.
@@ -72,11 +81,19 @@ impl Cell {
 
     /// Places a child instance.
     pub fn add_instance(&mut self, name: impl Into<String>, master: Arc<Cell>, transform: Transform) {
+        if let Some(e) = master.extent {
+            self.grow_extent(transform.apply_rect(e));
+        }
+        self.flat_count += master.flat_count;
         self.instances.push(Instance {
             name: name.into(),
             master,
             transform,
         });
+    }
+
+    fn grow_extent(&mut self, r: Rect) {
+        self.extent = Some(self.extent.map_or(r, |e| e.union(r)));
     }
 
     /// Sets an explicit outline (abutment box).
@@ -174,37 +191,16 @@ impl Cell {
     /// Unlike [`Cell::bbox`] this ignores the outline override and ports:
     /// it bounds exactly what [`Cell::flatten`] would emit, so it is the
     /// conservative pruning frame for windowed flattening and the
-    /// abutment frame for hierarchical verification.
+    /// abutment frame for hierarchical verification. O(1): the extent is
+    /// maintained as shapes and instances are added.
     pub fn geometry_extent(&self) -> Rect {
-        self.geometry_extent_opt().unwrap_or(Rect::EMPTY)
-    }
-
-    fn geometry_extent_opt(&self) -> Option<Rect> {
-        let own = Rect::bounding(self.shapes.iter().map(|&(_, r)| r));
-        let subs = self
-            .instances
-            .iter()
-            .filter_map(|i| {
-                i.master
-                    .geometry_extent_opt()
-                    .map(|e| i.transform.apply_rect(e))
-            })
-            .reduce(Rect::union);
-        match (own, subs) {
-            (Some(a), Some(b)) => Some(a.union(b)),
-            (a, b) => a.or(b),
-        }
+        self.extent.unwrap_or(Rect::EMPTY)
     }
 
     /// Total shape count including the hierarchy (cheap complexity
-    /// metric used in reports).
+    /// metric used in reports). O(1), maintained like the extent.
     pub fn flat_shape_count(&self) -> usize {
-        self.shapes.len()
-            + self
-                .instances
-                .iter()
-                .map(|i| i.master.flat_shape_count())
-                .sum::<usize>()
+        self.flat_count
     }
 }
 
@@ -212,6 +208,8 @@ impl Cell {
 mod tests {
     use super::*;
     use bisram_geom::{Orientation, Point, Side};
+    use bisram_rng::rngs::StdRng;
+    use bisram_rng::{Rng, SeedableRng};
 
     fn leaf() -> Arc<Cell> {
         let mut c = Cell::new("leaf");
@@ -318,6 +316,80 @@ mod tests {
         top.add_shape(Layer::Poly, Rect::new(400, 400, 500, 500));
         top.add_instance("e", Arc::new(Cell::new("empty")), Transform::IDENTITY);
         assert_eq!(top.geometry_extent(), Rect::new(400, 400, 500, 500));
+    }
+
+    /// A random hierarchy, built bottom-up: a pool of leaves (empty,
+    /// outline-only, or a few shapes, some with ports and outlines),
+    /// then up to four levels of cells that place earlier pool members —
+    /// shared `Arc` masters — under all eight orientations, some with
+    /// shapes of their own. Returns every cell of the pool.
+    fn random_pool(rng: &mut StdRng) -> Vec<Arc<Cell>> {
+        let rect = |rng: &mut StdRng| {
+            let (x, y) = (rng.gen_range(-300i64..300), rng.gen_range(-300i64..300));
+            Rect::new(x, y, x + rng.gen_range(0i64..120), y + rng.gen_range(0i64..120))
+        };
+        let layer = |rng: &mut StdRng| Layer::ALL[rng.gen_range(0..Layer::ALL.len())];
+        let mut pool: Vec<Arc<Cell>> = Vec::new();
+        for k in 0..rng.gen_range(2usize..5) {
+            let mut c = Cell::new(format!("leaf{k}"));
+            match rng.gen_range(0u32..4) {
+                0 => {}
+                1 => c.set_outline(rect(rng)),
+                _ => {
+                    for _ in 0..rng.gen_range(1usize..5) {
+                        c.add_shape(layer(rng), rect(rng));
+                    }
+                    if rng.gen_bool(0.5) {
+                        c.set_outline(rect(rng));
+                    }
+                    if rng.gen_bool(0.5) {
+                        c.add_port(Port::new("p", Layer::Metal1.id(), rect(rng), Side::West));
+                    }
+                }
+            }
+            pool.push(Arc::new(c));
+        }
+        for level in 1..=rng.gen_range(1usize..=4) {
+            for k in 0..rng.gen_range(1usize..4) {
+                let mut c = Cell::new(format!("l{level}_{k}"));
+                if rng.gen_bool(0.3) {
+                    c.add_shape(layer(rng), rect(rng));
+                }
+                for i in 0..rng.gen_range(0usize..6) {
+                    let master = pool[rng.gen_range(0..pool.len())].clone();
+                    let o = Orientation::ALL[rng.gen_range(0usize..8)];
+                    let at = Point::new(rng.gen_range(-2000i64..2000), rng.gen_range(-2000i64..2000));
+                    c.add_instance(format!("i{i}"), master, Transform::new(o, at));
+                }
+                if rng.gen_bool(0.3) {
+                    c.add_shape(layer(rng), rect(rng));
+                }
+                if rng.gen_bool(0.2) {
+                    c.set_outline(rect(rng));
+                }
+                pool.push(Arc::new(c));
+            }
+        }
+        pool
+    }
+
+    #[test]
+    fn incremental_extent_and_count_match_flatten_on_generated_hierarchies() {
+        let mut rng = StdRng::seed_from_u64(0xCE11_0001);
+        for case in 0..200 {
+            for cell in random_pool(&mut rng) {
+                let flat = cell.flatten();
+                let ctx = format!("case {case}, cell {}", cell.name());
+                assert_eq!(cell.flat_shape_count(), flat.len(), "{ctx}");
+                let bbox = Rect::bounding(flat.iter().map(|&(_, r)| r));
+                assert_eq!(cell.geometry_extent(), bbox.unwrap_or(Rect::EMPTY), "{ctx}");
+                assert_eq!(
+                    crate::placer::geometry_extent(&cell),
+                    crate::placer::geometry_extent_flat(&cell),
+                    "{ctx}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -189,7 +189,18 @@ pub fn place_with_options(macros: Vec<Macro>, options: PlacerOptions) -> Placeme
 /// overhang too, or cross-macro spacing rules (the n-well's, the
 /// widest) can be violated by geometry the abutment box doesn't cover.
 /// For overhang-free macros this is exactly `cell.bbox()`.
-fn geometry_extent(cell: &Cell) -> Rect {
+pub(crate) fn geometry_extent(cell: &Cell) -> Rect {
+    let outline = cell.bbox();
+    if cell.flat_shape_count() == 0 {
+        outline
+    } else {
+        outline.union(cell.geometry_extent())
+    }
+}
+
+/// The flatten-based definition [`geometry_extent`] must agree with.
+#[cfg(test)]
+pub(crate) fn geometry_extent_flat(cell: &Cell) -> Rect {
     let outline = cell.bbox();
     Rect::bounding(cell.flatten().into_iter().map(|(_, r)| r))
         .map_or(outline, |shapes| outline.union(shapes))

@@ -582,6 +582,20 @@ fn summarize_extracted(x: &Extracted, frame: Rect) -> GraphSummary {
     out
 }
 
+/// The component index a union-find root maps to (`usize::MAX` while
+/// unassigned), appending a fresh empty component on first sight — so
+/// components come out in first-appearance order.
+fn comp_for(slot: &mut usize, comps: &mut Vec<OpenNet>) -> usize {
+    if *slot == usize::MAX {
+        *slot = comps.len();
+        comps.push(OpenNet {
+            shapes: Vec::new(),
+            terminals: 0,
+        });
+    }
+    *slot
+}
+
 /// Builds the reference-side summary from placed schematics, merging
 /// anchors exactly like `schematic::compose` and classifying the merged
 /// components against `frame`.
@@ -621,19 +635,12 @@ fn summarize_reference(
         });
     }
     let interior = frame.expand(-1);
-    let mut comp_of_root: HashMap<usize, usize> = HashMap::new();
+    let mut comp_of_root = vec![usize::MAX; total];
     let mut comps: Vec<OpenNet> = Vec::new();
     for (k, (s, t, _)) in placed.iter().enumerate() {
         for (ni, net) in s.nets.iter().enumerate() {
             let g = base[k] + ni;
-            let root = uf.find(g);
-            let ci = *comp_of_root.entry(root).or_insert_with(|| {
-                comps.push(OpenNet {
-                    shapes: Vec::new(),
-                    terminals: 0,
-                });
-                comps.len() - 1
-            });
+            let ci = comp_for(&mut comp_of_root[uf.find(g)], &mut comps);
             comps[ci].terminals += terminals[g];
             for &(layer, r) in &net.anchors {
                 let rr = t.apply_rect(r);
@@ -680,61 +687,73 @@ fn merge_summaries(
         out.closed_floating += s.closed_floating;
         out.devices += s.devices;
     }
-    // Union across pairs of touching children, transforming each side's
-    // open shapes into small per-layer buffers on the fly. (Children of
-    // a big array overwhelmingly share one certificate, so materializing
-    // transformed copies per child would cost gigabytes at 1 Mb scale;
-    // the per-pair shape counts are tiny.) Nets of one child never need
-    // a self-union here: they were already merged (or proven separate)
-    // when the child was summarized, and transforms preserve touching.
+    // Union across pairs of touching children. Which open nets of the
+    // two children touch depends only on the two certificates and their
+    // relative placement, so the local index pairs are computed once per
+    // such configuration — a big array has thousands of abutting pairs
+    // but a handful of configurations — and replayed for every pair. The
+    // memo keys on the exact (certificate, certificate, relative
+    // transform) tuple; certificates are compared by identity, which is
+    // sound because `children` keeps each one alive for the whole call.
+    // Nets of one child never need a self-union here: they were already
+    // merged (or proven separate) when the child was summarized, and
+    // transforms preserve touching.
     let nl = Layer::ALL.len();
     let mut uf = sweep::UnionFind::new(total);
     let mut pairs = Vec::new();
     sweep::pair_sweep(extents, 0, |i, j| pairs.push((i, j)));
     pairs.sort_unstable();
+    type Config = (*const CellCertificate, *const CellCertificate, Transform);
+    let mut memo: HashMap<Config, Vec<(usize, usize)>> = HashMap::new();
     let mut side_a: Vec<(Vec<Rect>, Vec<usize>)> = vec![(Vec::new(), Vec::new()); nl];
     let mut side_b: Vec<(Vec<Rect>, Vec<usize>)> = vec![(Vec::new(), Vec::new()); nl];
-    let fill = |side: &mut Vec<(Vec<Rect>, Vec<usize>)>, k: usize| {
+    // Open shapes of `c` under `t`, bucketed by layer, tagged with the
+    // net's index within `c`.
+    let fill = |side: &mut Vec<(Vec<Rect>, Vec<usize>)>, c: &CellCertificate, t: Transform| {
         for (r, i) in side.iter_mut() {
             r.clear();
             i.clear();
         }
-        let (c, t) = &children[k];
         for (oi, net) in pick(c).open.iter().enumerate() {
             for &(layer, r) in &net.shapes {
                 let idx = layer.id().index() as usize;
                 side[idx].0.push(t.apply_rect(r));
-                side[idx].1.push(base[k] + oi);
+                side[idx].1.push(oi);
             }
         }
     };
     for &(i, j) in &pairs {
-        fill(&mut side_a, i);
-        fill(&mut side_b, j);
-        for l in 0..nl {
-            let ((ra, ia), (rb, ib)) = (&side_a[l], &side_b[l]);
-            if ra.is_empty() || rb.is_empty() {
-                continue;
-            }
-            sweep::join_sweep(ra, rb, 0, |x, y| {
-                uf.union(ia[x], ib[y]);
+        let ((ci, ti), (cj, tj)) = (&children[i], &children[j]);
+        // `j` placed in `i`'s local frame.
+        let rel = tj.then(ti.inverse());
+        let unions = memo
+            .entry((Arc::as_ptr(ci), Arc::as_ptr(cj), rel))
+            .or_insert_with(|| {
+                fill(&mut side_a, ci, Transform::IDENTITY);
+                fill(&mut side_b, cj, rel);
+                let mut found = Vec::new();
+                for l in 0..nl {
+                    let ((ra, ia), (rb, ib)) = (&side_a[l], &side_b[l]);
+                    if ra.is_empty() || rb.is_empty() {
+                        continue;
+                    }
+                    sweep::join_sweep(ra, rb, 0, |x, y| found.push((ia[x], ib[y])));
+                }
+                found.sort_unstable();
+                found.dedup();
+                found
             });
+        for &(a, b) in unions.iter() {
+            uf.union(base[i] + a, base[j] + b);
         }
     }
     // Components in first-appearance order, re-classified vs the frame.
     let interior = frame.expand(-1);
-    let mut comp_of_root: HashMap<usize, usize> = HashMap::new();
+    let mut comp_of_root = vec![usize::MAX; total];
     let mut comps: Vec<OpenNet> = Vec::new();
     for (k, (c, t)) in children.iter().enumerate() {
         for (oi, net) in pick(c).open.iter().enumerate() {
-            let root = uf.find(base[k] + oi);
-            let ci = *comp_of_root.entry(root).or_insert_with(|| {
-                comps.push(OpenNet {
-                    shapes: Vec::new(),
-                    terminals: 0,
-                });
-                comps.len() - 1
-            });
+            let ci = comp_for(&mut comp_of_root[uf.find(base[k] + oi)], &mut comps);
             comps[ci].terminals += net.terminals;
             for &(layer, r) in &net.shapes {
                 let rr = t.apply_rect(r);
@@ -853,6 +872,7 @@ pub fn boundary_findings(
 mod tests {
     use super::*;
     use crate::verify_cell;
+    use bisram_geom::Orientation;
     use bisram_layout::leaf::LeafSpec;
     use bisram_tech::Process;
 
@@ -956,6 +976,149 @@ mod tests {
             report.to_string(),
             verify_cell(process.rules(), &top, &lib).to_string()
         );
+    }
+
+    /// `rows` copies of one `bits`-wide row of 6T cells stacked in a
+    /// column, every odd row mirrored across x (MX) so that row pairs
+    /// share their well and their ground rail.
+    fn mirrored_column(process: &Process, rows: i64, bits: usize) -> Cell {
+        let sram = Arc::new(LeafSpec::Sram6t.build(process));
+        let row = Arc::new(bisram_layout::tile::tile_row("row", sram, bits));
+        let h = row.bbox().height();
+        let mut column = Cell::new("column");
+        for r in 0..rows {
+            let t = if r % 2 == 0 {
+                Transform::translate(Point::new(0, r * h))
+            } else {
+                Transform::new(Orientation::Mx, Point::new(0, (r + 1) * h))
+            };
+            column.add_instance(format!("r{r}"), row.clone(), t);
+        }
+        column
+    }
+
+    #[test]
+    fn hier_matches_flat_on_tall_mirrored_column() {
+        // One row certificate, two merge configurations: normal under
+        // MX meets on the well side, where only the bitlines join; MX
+        // under normal meets on the rail side, where the ground rails
+        // join too. A memo keyed on the certificates alone would replay
+        // one side's unions for both.
+        let process = Process::cda07();
+        let lib = SchematicLib::standard(&process);
+        let column = mirrored_column(&process, 48, 4);
+        let flat = verify_cell(process.rules(), &column, &lib);
+        let hier = verify_cell_hier(process.rules(), &column, &lib, &NoCertStore);
+        assert!(flat.is_clean(), "flat dirty:\n{flat}");
+        assert_eq!(flat.to_string(), hier.to_string());
+    }
+
+    #[test]
+    fn merge_memo_tells_orientations_apart_at_equal_offsets() {
+        // A 100λ-square cell centred on the origin with one metal-1 tab
+        // on its north edge and one on its south edge, both at the west
+        // end. Stacked at a fixed pitch, a row directly above an
+        // identically oriented row joins its tab to the one below; above
+        // an MY-mirrored row it lands on the east end and joins nothing.
+        // Both placements share the certificates *and* the relative
+        // offset, so only the orientation in the memo key separates them.
+        let process = Process::cda07();
+        let lam = process.rules().lambda();
+        let tab = |y0: i64| Rect::new(-50 * lam, y0 * lam, -40 * lam, (y0 + 10) * lam);
+        let (north, south) = (tab(40), tab(-50));
+        // A full-width bar keeps the extent (and so the pairing) the
+        // same in both orientations.
+        let bar = Rect::new(-50 * lam, -5 * lam, 50 * lam, 5 * lam);
+        let mut cell = Cell::new("tabbed");
+        for r in [north, south, bar] {
+            cell.add_shape(Layer::Metal1, r);
+        }
+        let cell = Arc::new(cell);
+        let mut lib = SchematicLib::new();
+        lib.insert(CellSchematic {
+            name: "tabbed".into(),
+            nets: [("n", north), ("s", south), ("bar", bar)]
+                .into_iter()
+                .map(|(name, r)| schematic::SchematicNet {
+                    name: name.into(),
+                    anchors: vec![(Layer::Metal1, r)],
+                })
+                .collect(),
+            devices: Vec::new(),
+        });
+        let mut column = Cell::new("column");
+        for (k, o) in ["R0", "R0", "MY", "MY", "R0", "MY", "R0", "R0"].iter().enumerate() {
+            let o = if *o == "MY" { Orientation::My } else { Orientation::R0 };
+            let at = Point::new(0, k as i64 * 100 * lam);
+            column.add_instance(format!("t{k}"), cell.clone(), Transform::new(o, at));
+        }
+        let flat = verify_cell(process.rules(), &column, &lib);
+        let hier = verify_cell_hier(process.rules(), &column, &lib, &NoCertStore);
+        assert!(flat.is_clean(), "flat dirty:\n{flat}");
+        assert_eq!(flat.to_string(), hier.to_string());
+    }
+
+    /// A 3λ-wide metal-1 strip just east of a mirrored column, spanning
+    /// from row 0's VDD rail up to row 1's. The two rails are distinct
+    /// nets, so the strip shorts them unless the strip's schematic says
+    /// it is meant to connect them (`anchored`).
+    fn bridged_column(process: &Process, anchored: bool) -> (Cell, SchematicLib) {
+        let lam = process.rules().lambda();
+        let bits = 4;
+        let mut column = mirrored_column(process, 8, bits);
+        let x = bits as i64 * 26 * lam;
+        let strip = Rect::new(x, 22 * lam, x + 3 * lam, (40 + 18) * lam);
+        let mut bridge = Cell::new("bridge");
+        bridge.add_shape(Layer::Metal1, strip);
+        column.add_instance("bridge", Arc::new(bridge), Transform::IDENTITY);
+        let mut lib = SchematicLib::standard(process);
+        lib.insert(CellSchematic {
+            name: "bridge".into(),
+            nets: vec![schematic::SchematicNet {
+                name: "strap".into(),
+                anchors: if anchored {
+                    vec![(Layer::Metal1, strip)]
+                } else {
+                    Vec::new()
+                },
+            }],
+            devices: Vec::new(),
+        });
+        (column, lib)
+    }
+
+    #[test]
+    fn bridge_between_adjacent_rows_is_reported_like_flat() {
+        let process = Process::cda07();
+        let rules = process.rules();
+        // As a drawn strap the strip is legal and both engines agree
+        // byte for byte: the (row, bridge) merges replay per row
+        // orientation, separately from the (row, row) ones.
+        let (column, lib) = bridged_column(&process, true);
+        let flat = verify_cell(rules, &column, &lib);
+        let hier = verify_cell_hier(rules, &column, &lib, &NoCertStore);
+        assert!(flat.is_clean(), "flat dirty:\n{flat}");
+        assert_eq!(flat.to_string(), hier.to_string());
+
+        // As an unintended bridge it shorts two rails. Flat LVS names the
+        // short by net label; hier flags the same totals across the
+        // instance boundary. Everything both engines count must agree.
+        let (column, lib) = bridged_column(&process, false);
+        let flat = verify_cell(rules, &column, &lib);
+        let hier = verify_cell_hier(rules, &column, &lib, &NoCertStore);
+        assert!(!flat.is_clean() && !hier.is_clean(), "bridge missed");
+        assert_eq!(hier.drc, flat.drc);
+        assert_eq!(hier.shape_count, flat.shape_count);
+        let (f, h) = (flat.lvs.expect("flat lvs"), hier.lvs.expect("hier lvs"));
+        assert_eq!(
+            (f.extracted_nets, f.extracted_devices, f.extracted_floating),
+            (h.extracted_nets, h.extracted_devices, h.extracted_floating)
+        );
+        assert_eq!(
+            (f.reference_nets, f.reference_devices, f.reference_floating),
+            (h.reference_nets, h.reference_devices, h.reference_floating)
+        );
+        assert_eq!(f.extracted_nets + 2, f.reference_nets, "short not seen");
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //! cells and arrays in every process, pitch-consistent macrocells,
 //! exportable geometry, and area accounting that adds up.
 
-use bisram_layout::{export, leaf, tile};
-use bisram_tech::{drc, Process};
-use bisramgen::{compile, RamParams};
+use bisram_geom::Rect;
+use bisram_layout::placer::{place_with_margin, Macro};
+use bisram_layout::{export, leaf, tile, Cell};
+use bisram_tech::{drc, Layer, Process};
+use bisramgen::{compile, compile_with, CellCache, CompileOptions, RamParams};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 #[test]
@@ -127,4 +130,76 @@ fn floorplan_svg_covers_every_macro_and_is_parsable_xml() {
     assert_eq!(svg.matches("<svg").count(), 1);
     assert_eq!(svg.matches("</svg>").count(), 1);
     assert_eq!(svg.matches("<text").count(), svg.matches("</text>").count());
+}
+
+/// The bounding box of `cell.flatten()`, computed from the flattened
+/// shapes of each distinct child master: a cell flattens to its own
+/// shapes plus every instance's flattened master under the instance
+/// transform, and a Manhattan transform maps the bounding box of a set
+/// to the bounding box of the mapped set. Flattening a 16384x32 array
+/// outright materializes ~13 M rectangles.
+fn flat_bbox(cell: &Cell) -> Option<Rect> {
+    let mut masters: HashMap<*const Cell, Option<Rect>> = HashMap::new();
+    let mut boxes: Vec<Rect> = cell.shapes().iter().map(|&(_, r)| r).collect();
+    for inst in cell.instances() {
+        let master = masters
+            .entry(Arc::as_ptr(&inst.master))
+            .or_insert_with(|| Rect::bounding(inst.master.flatten().into_iter().map(|(_, r)| r)));
+        boxes.extend(master.map(|b| inst.transform.apply_rect(b)));
+    }
+    Rect::bounding(boxes)
+}
+
+#[test]
+fn placement_matches_flatten_based_extents_across_the_sweep_space() {
+    // The placer bounds each macrocell by its outline unioned with the
+    // geometry extent the cell maintains as it is built. The definition
+    // that extent replaces is the bounding box of the flattened shapes:
+    // give the placer stand-in macros whose only shape *is* that box
+    // (same outline, same ports) and every organization of the
+    // benchmark's sweep space must come out placed identically.
+    let cache = Arc::new(CellCache::new());
+    let options = CompileOptions::new().with_cache(Arc::clone(&cache));
+    let mut checked = 0;
+    for process in Process::builtin() {
+        for words in [256, 512, 1024, 2048, 4096, 8192, 16384] {
+            for bpw in [8, 16, 32] {
+                for bpc in [4, 8] {
+                    let params = RamParams::builder()
+                        .words(words)
+                        .bits_per_word(bpw)
+                        .bits_per_column(bpc)
+                        .process(process.clone())
+                        .build()
+                        .expect("valid");
+                    let ram = compile_with(&params, &options).expect("compiles");
+                    let stand_ins: Vec<Macro> = ram
+                        .macrocells()
+                        .cells
+                        .iter()
+                        .map(|(name, cell)| {
+                            let mut s = Cell::new(cell.name());
+                            s.set_outline(cell.bbox());
+                            for p in cell.ports() {
+                                s.add_port(p.clone());
+                            }
+                            if let Some(b) = flat_bbox(cell) {
+                                s.add_shape(Layer::Metal1, b);
+                            }
+                            Macro::new(*name, Arc::new(s))
+                        })
+                        .collect();
+                    let lambda = process.rules().lambda();
+                    let oracle = place_with_margin(stand_ins, 12 * lambda);
+                    let placed: Vec<_> =
+                        ram.placement().placed().iter().map(|p| (&p.name, p.transform)).collect();
+                    let expected: Vec<_> =
+                        oracle.placed().iter().map(|p| (&p.name, p.transform)).collect();
+                    assert_eq!(placed, expected, "{} {words}x{bpw} bpc {bpc}", process.name());
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 126);
 }
