@@ -12,11 +12,62 @@ use crate::params::RamParams;
 use bisram_circuit::campath::{self, TlbTiming};
 use bisram_circuit::elmore;
 use bisram_circuit::le::{self, GateType, Path};
-use bisram_circuit::snm::{self, CellGeometry};
+use bisram_circuit::snm::{self, CellGeometry, NoiseMargins};
 use bisram_field::{censored_mttf, simulate_fleet, ChipRepairReport, DegradationState, FieldConfig};
 use bisram_layout::leaf;
-use bisram_tech::Process;
+use bisram_tech::{DeviceParams, Process};
 use bisram_yield::reliability::ReliabilityModel;
+use std::sync::{Mutex, PoisonError};
+
+/// How many characterized cells [`cell_margins`] remembers. A sweep
+/// touches one entry per process; custom processes beyond this evict
+/// the oldest entry.
+const MARGIN_MEMO_CAPACITY: usize = 8;
+
+/// Exact identity of one characterization: the bit patterns of every
+/// [`DeviceParams`] field, then of every [`CellGeometry`] field.
+type MarginKey = [u64; 18];
+
+/// Characterized cells, oldest first.
+static MARGIN_MEMO: Mutex<Vec<(MarginKey, NoiseMargins)>> = Mutex::new(Vec::new());
+
+fn margin_key(dev: &DeviceParams, geom: &CellGeometry) -> MarginKey {
+    let CellGeometry {
+        w_pulldown,
+        w_pullup,
+        w_access,
+        l,
+    } = *geom;
+    let mut key = [0; 18];
+    key[..14].copy_from_slice(&dev.field_bits());
+    key[14..].copy_from_slice(&[w_pulldown, w_pullup, w_access, l].map(f64::to_bits));
+    key
+}
+
+/// The cell's noise margins, characterized once per exact
+/// `(devices, geometry)` pair (paper §II: leaf cells are simulated
+/// "ahead of time" and every datasheet extrapolates from them).
+/// [`snm::analyze`] is pure, so a remembered result is bit-identical to
+/// a fresh one. It runs outside the lock: concurrent first calls may
+/// each compute it, and all get the same value.
+fn cell_margins(dev: &DeviceParams, geom: &CellGeometry) -> NoiseMargins {
+    let key = margin_key(dev, geom);
+    // Every update leaves the table a valid list, so a guard poisoned by
+    // another thread's panic is still safe to use.
+    let lock = || MARGIN_MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&(_, m)) = lock().iter().find(|(k, _)| *k == key) {
+        return m;
+    }
+    let margins = snm::analyze(dev, geom);
+    let mut table = lock();
+    if !table.iter().any(|(k, _)| *k == key) {
+        if table.len() == MARGIN_MEMO_CAPACITY {
+            table.remove(0);
+        }
+        table.push((key, margins));
+    }
+    margins
+}
 
 /// Lifetime figures for the datasheet's reliability section: the
 /// analytic §VIII model next to a seeded in-field simulation of the same
@@ -210,7 +261,9 @@ impl Datasheet {
 
         // --- TLB delay and masking (paper §VI technique 1: overlap with
         // the precharge phase).
-        let tlb = campath::tlb_delay(process, org.row_bits(), org.spare_rows().max(1));
+        // A one-row organization has no row address; the TLB still
+        // compares one bit, as the TLB layout does.
+        let tlb = campath::tlb_delay(process, org.row_bits().max(1), org.spare_rows().max(1));
         let tlb_masked = params.delay_masking_guaranteed() && tlb.total_s() < precharge;
 
         // --- Power: switched capacitance per cycle (one word line, the
@@ -222,7 +275,7 @@ impl Datasheet {
         let standby_power_w = org.total_cells() as f64 * 1e-12 * dev.vdd;
 
         // Cell stability: the standard cell geometry for this process.
-        let margins = snm::analyze(dev, &CellGeometry::standard(lgate));
+        let margins = cell_margins(dev, &CellGeometry::standard(lgate));
 
         Datasheet {
             access_time_s: access,
@@ -456,6 +509,79 @@ mod tests {
         // A scaled-down process prices the same spares smaller.
         let smaller = ChipSheet::from_report(&report, &Process::cda05());
         assert!(smaller.spare_area_mm2 <= sheet.spare_area_mm2);
+    }
+
+    #[test]
+    fn one_row_organization_extrapolates() {
+        // words == bpc: a single row, so no row-address bit.
+        let p = params(4, 4, 4);
+        assert_eq!(p.org().row_bits(), 0);
+        let d = Datasheet::extrapolate(&p);
+        assert!(d.access_time_s > 0.0 && d.tlb.total_s() > 0.0);
+    }
+
+    /// A custom process no other test uses, so its margins start cold.
+    fn custom_process(name: &str, vtn: f64) -> Process {
+        let mut devices = Process::cda07().devices().clone();
+        devices.vtn = vtn;
+        Process::custom(name, 700, 3, devices).expect("valid custom process")
+    }
+
+    fn assert_margins_exact(process: &Process) {
+        let params = RamParams::builder().process(process.clone()).build().unwrap();
+        let d = Datasheet::extrapolate(&params);
+        let direct = snm::analyze(
+            process.devices(),
+            &CellGeometry::standard(process.gate_length_m()),
+        );
+        assert_eq!(d.hold_snm_v.to_bits(), direct.hold_snm.to_bits(), "{}", process.name());
+        assert_eq!(d.read_snm_v.to_bits(), direct.read_snm.to_bits(), "{}", process.name());
+    }
+
+    #[test]
+    fn memoized_margins_are_bit_identical_to_a_direct_analysis() {
+        let mut processes = Process::builtin();
+        processes.push(custom_process("memo-exact", 0.7125));
+        for p in &processes {
+            // Twice: the first call may fill the entry, the second reads it.
+            assert_margins_exact(p);
+            assert_margins_exact(p);
+        }
+    }
+
+    #[test]
+    fn concurrent_first_calls_agree() {
+        let p = RamParams::builder()
+            .process(custom_process("memo-race", 0.6875))
+            .build()
+            .unwrap();
+        let barrier = std::sync::Barrier::new(8);
+        let sheets: Vec<Datasheet> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        Datasheet::extrapolate(&p)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+        });
+        for d in &sheets[1..] {
+            assert_eq!(d.hold_snm_v.to_bits(), sheets[0].hold_snm_v.to_bits());
+            assert_eq!(d.read_snm_v.to_bits(), sheets[0].read_snm_v.to_bits());
+        }
+        assert_margins_exact(p.process());
+    }
+
+    #[test]
+    fn margin_memo_stays_bounded_past_its_capacity() {
+        for k in 0..MARGIN_MEMO_CAPACITY + 3 {
+            let p = custom_process(&format!("memo-evict-{k}"), 0.64 + 0.005 * k as f64);
+            assert_margins_exact(&p);
+            let held = MARGIN_MEMO.lock().unwrap_or_else(PoisonError::into_inner).len();
+            assert!(held <= MARGIN_MEMO_CAPACITY, "memo holds {held} entries");
+        }
     }
 
     #[test]

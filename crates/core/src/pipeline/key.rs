@@ -121,24 +121,8 @@ pub fn process_fingerprint(process: &bisram_tech::Process) -> u64 {
     process.feature_nm().hash(&mut h);
     process.metal_layers().hash(&mut h);
     process.rules().lambda().hash(&mut h);
-    let d = process.devices();
-    for f in [
-        d.vdd,
-        d.vtn,
-        d.vtp,
-        d.kp_n,
-        d.kp_p,
-        d.cox,
-        d.cj,
-        d.cjsw,
-        d.cw_metal,
-        d.cw_poly,
-        d.rsh_metal,
-        d.rsh_poly,
-        d.rsh_diff,
-        d.channel_lambda,
-    ] {
-        h.write_u64(f.to_bits());
+    for bits in process.devices().field_bits() {
+        h.write_u64(bits);
     }
     h.finish()
 }

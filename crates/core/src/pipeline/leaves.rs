@@ -70,6 +70,34 @@ impl LeafKey {
             row_bits: ctx.params.org().row_bits().max(1),
         }
     }
+
+    /// The 14 leaf specs of this compile, in [`LeafSet`] field order —
+    /// the one list both the leaf stage and the signoff schematic
+    /// library read.
+    pub fn specs(&self) -> [LeafSpec; 14] {
+        [
+            LeafSpec::Sram6t,
+            LeafSpec::RowDecoder {
+                address_bits: self.row_bits,
+            },
+            LeafSpec::WordlineDriver {
+                size_factor: self.gate_size,
+            },
+            LeafSpec::Precharge {
+                size_factor: self.gate_size,
+            },
+            LeafSpec::ColMux,
+            LeafSpec::SenseAmp,
+            LeafSpec::WriteDriver,
+            LeafSpec::Dff,
+            LeafSpec::CounterBit,
+            LeafSpec::Xor2,
+            LeafSpec::CamBit,
+            LeafSpec::PlaCrosspoint { programmed: true },
+            LeafSpec::PlaCrosspoint { programmed: false },
+            LeafSpec::PlaPullup,
+        ]
+    }
 }
 
 /// Builds the [`LeafSet`].
@@ -87,28 +115,25 @@ impl Stage for LeafStage {
 
     fn run(&self, ctx: &PipelineCtx<'_>) -> Result<LeafSet, CompileError> {
         let key = LeafKey::of(ctx);
-        let leaf = |spec: LeafSpec| ctx.leaf(key.process, spec);
+        let [
+            sram, rowdec, wldrv, prech, colmux, samp, wrdrv, dff, counter, xor2, cam_bit, pla_on,
+            pla_off, pullup,
+        ] = key.specs().map(|spec| ctx.leaf(key.process, spec));
         Ok(LeafSet {
-            sram: leaf(LeafSpec::Sram6t)?,
-            rowdec: leaf(LeafSpec::RowDecoder {
-                address_bits: key.row_bits,
-            })?,
-            wldrv: leaf(LeafSpec::WordlineDriver {
-                size_factor: key.gate_size,
-            })?,
-            prech: leaf(LeafSpec::Precharge {
-                size_factor: key.gate_size,
-            })?,
-            colmux: leaf(LeafSpec::ColMux)?,
-            samp: leaf(LeafSpec::SenseAmp)?,
-            wrdrv: leaf(LeafSpec::WriteDriver)?,
-            dff: leaf(LeafSpec::Dff)?,
-            counter: leaf(LeafSpec::CounterBit)?,
-            xor2: leaf(LeafSpec::Xor2)?,
-            cam_bit: leaf(LeafSpec::CamBit)?,
-            pla_on: leaf(LeafSpec::PlaCrosspoint { programmed: true })?,
-            pla_off: leaf(LeafSpec::PlaCrosspoint { programmed: false })?,
-            pullup: leaf(LeafSpec::PlaPullup)?,
+            sram: sram?,
+            rowdec: rowdec?,
+            wldrv: wldrv?,
+            prech: prech?,
+            colmux: colmux?,
+            samp: samp?,
+            wrdrv: wrdrv?,
+            dff: dff?,
+            counter: counter?,
+            xor2: xor2?,
+            cam_bit: cam_bit?,
+            pla_on: pla_on?,
+            pla_off: pla_off?,
+            pullup: pullup?,
         })
     }
 

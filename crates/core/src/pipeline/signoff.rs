@@ -18,7 +18,6 @@ use super::{PipelineCtx, Stage, VerifyMode};
 use crate::compiler::CompileError;
 use crate::datasheet::Datasheet;
 use bisram_bist::trpla::Pla;
-use bisram_layout::leaf::LeafSpec;
 use bisram_verify::hier::{boundary_findings, verify_cell_hier, CellCertificate, CertificateStore};
 use bisram_verify::{verify_cell, CellVerifyReport, SchematicLib, VerifyReport};
 use std::sync::Arc;
@@ -51,38 +50,13 @@ pub struct SignoffStage {
     pub pla: Pla,
 }
 
-/// The leaf specs a compile's macrocells are tiled from — the
-/// schematic library [`verify_macros`] composes references out of.
-/// Must stay in lockstep with `LeafStage::run`.
-fn leaf_specs(key: &LeafKey) -> Vec<LeafSpec> {
-    vec![
-        LeafSpec::Sram6t,
-        LeafSpec::RowDecoder {
-            address_bits: key.row_bits,
-        },
-        LeafSpec::WordlineDriver {
-            size_factor: key.gate_size,
-        },
-        LeafSpec::Precharge {
-            size_factor: key.gate_size,
-        },
-        LeafSpec::ColMux,
-        LeafSpec::SenseAmp,
-        LeafSpec::WriteDriver,
-        LeafSpec::Dff,
-        LeafSpec::CounterBit,
-        LeafSpec::Xor2,
-        LeafSpec::CamBit,
-        LeafSpec::PlaCrosspoint { programmed: true },
-        LeafSpec::PlaCrosspoint { programmed: false },
-        LeafSpec::PlaPullup,
-    ]
-}
-
 /// Adapts the pipeline's [`CellCache`] as a
-/// [`CertificateStore`]: verified-clean certificates live under the new
-/// cache kind `verify-cert`, salted with the schematic-library identity
-/// (the certificate key itself already covers cell content and rules).
+/// [`CertificateStore`]: verified-clean certificates live under the
+/// cache kind `verify-cert`, salted with the process fingerprint so
+/// each process's certificates stay apart in a shared cache. The
+/// certificate key itself covers the rules, the cell's content and the
+/// schematic entries the cell resolves, so points that differ only in
+/// organization share every certificate whose subtree they share.
 struct CacheCertStore<'a> {
     cache: &'a CellCache,
     salt: u64,
@@ -118,13 +92,10 @@ fn verify_macros(
 ) -> Result<VerifyReport, CompileError> {
     let process = ctx.params.process();
     let rules = process.rules();
-    let leaf_key = LeafKey::of(ctx);
-    let lib = Arc::new(SchematicLib::for_leaves(&leaf_specs(&leaf_key), process));
+    let lib = Arc::new(SchematicLib::for_leaves(&LeafKey::of(ctx).specs(), process));
     let fp = ctx.params_fingerprint();
     let mode = ctx.verify_mode();
-    // The certificate key covers rules + cell content; the salt adds
-    // what else shapes a report — the schematic library identity.
-    let salt = content_key(&(ctx.process_fingerprint(), leaf_key)).0;
+    let salt = ctx.process_fingerprint();
     let tasks: Vec<_> = macros
         .cells
         .iter()
@@ -232,9 +203,9 @@ mod tests {
     use crate::pipeline::CompileOptions;
     use crate::RamParams;
 
-    fn small() -> RamParams {
+    fn with_words(words: usize) -> RamParams {
         RamParams::builder()
-            .words(64)
+            .words(words)
             .bits_per_word(4)
             .bits_per_column(4)
             .spare_rows(4)
@@ -243,8 +214,11 @@ mod tests {
     }
 
     fn signoff_with(opts: &CompileOptions) -> Signoff {
-        let params = small();
-        let ctx = PipelineCtx::new(&params, opts);
+        signoff_of(&with_words(64), opts)
+    }
+
+    fn signoff_of(params: &RamParams, opts: &CompileOptions) -> Signoff {
+        let ctx = PipelineCtx::new(params, opts);
         let control = ctx.run_stage(&ControlStage).unwrap();
         let leaves = ctx.run_stage(&LeafStage).unwrap();
         let macros = ctx
@@ -315,5 +289,34 @@ mod tests {
         let misses = opts.cache().misses();
         let _ = signoff_with(&opts);
         assert_eq!(opts.cache().misses(), misses);
+    }
+
+    fn hier() -> CompileOptions {
+        CompileOptions::cold()
+            .with_verify(true)
+            .with_verify_mode(VerifyMode::Hier)
+    }
+
+    #[test]
+    fn organizations_share_certificates() {
+        // 16 rows vs 32: different row-address widths, decoders and
+        // arrays, but the control logic and most leaf tiles repeat.
+        let opts = hier();
+        let cert_misses = || {
+            opts.cache()
+                .kind_stats()
+                .into_iter()
+                .find(|k| k.kind == "verify-cert")
+                .map_or(0, |k| k.misses)
+        };
+        let _ = signoff_of(&with_words(64), &opts);
+        let first = cert_misses();
+        let shared = signoff_of(&with_words(128), &opts);
+        let second = cert_misses() - first;
+        assert!(second < first, "second point missed {second} times, first {first}");
+        let cold = signoff_of(&with_words(128), &hier());
+        let (shared, cold) = (shared.verify.expect("hier"), cold.verify.expect("hier"));
+        assert!(cold.is_clean(), "{cold}");
+        assert_eq!(shared.to_string(), cold.to_string());
     }
 }

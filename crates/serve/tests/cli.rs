@@ -65,6 +65,43 @@ fn help_exits_zero_and_documents_exit_codes() {
 }
 
 #[test]
+fn one_row_organization_compiles_and_sweeps() {
+    // words == bpc: a single row and no row-address bit.
+    let dir = std::env::temp_dir().join(format!("bisram-one-row-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let out = bisramgen()
+        .args(["--words", "4", "--bpw", "4", "--bpc", "4", "--out"])
+        .arg(dir.join("compile"))
+        .output()
+        .expect("spawn");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let spec = dir.join("one_row.sweep");
+    std::fs::write(&spec, "words = 4, 8\nbpw = 4\nbpc = 4\nverify = none\n").expect("write spec");
+    let out = bisramgen()
+        .arg("sweep")
+        .arg("--spec")
+        .arg(&spec)
+        .arg("--out")
+        .arg(dir.join("sweep.txt"))
+        .output()
+        .expect("spawn");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report = std::fs::read_to_string(dir.join("sweep.txt")).expect("sweep report");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(report.contains("sweep frontier: "), "{report}");
+}
+
+#[test]
 fn daemon_lifecycle_through_the_real_binary() {
     let mut child = bisramgen()
         .args(["serve", "--tcp", "127.0.0.1:0"])

@@ -53,6 +53,45 @@ impl DeviceParams {
         self.kp_n / self.kp_p
     }
 
+    /// The raw bit patterns of every field, in declaration order — an
+    /// exact identity for caches and fingerprints (`f64` has no `Eq` or
+    /// `Hash`, and two parameter sets agree exactly when these do).
+    pub fn field_bits(&self) -> [u64; 14] {
+        let DeviceParams {
+            vdd,
+            vtn,
+            vtp,
+            kp_n,
+            kp_p,
+            cox,
+            cj,
+            cjsw,
+            cw_metal,
+            cw_poly,
+            rsh_metal,
+            rsh_poly,
+            rsh_diff,
+            channel_lambda,
+        } = *self;
+        [
+            vdd,
+            vtn,
+            vtp,
+            kp_n,
+            kp_p,
+            cox,
+            cj,
+            cjsw,
+            cw_metal,
+            cw_poly,
+            rsh_metal,
+            rsh_poly,
+            rsh_diff,
+            channel_lambda,
+        ]
+        .map(f64::to_bits)
+    }
+
     /// Effective switching resistance of an NMOS of width `w` and length
     /// `l` (metres): the average resistance over the output transition,
     /// using the standard RC-model fit `R ≈ (3/4)·Vdd / Id_sat`.

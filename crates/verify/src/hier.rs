@@ -108,9 +108,10 @@ pub struct CellCertificate {
 
 /// Where certificates are cached between cells and between runs.
 ///
-/// `key` already folds in the cell's content hash and the design-rule
-/// fingerprint; implementations that share a store across schematic
-/// libraries must salt their keys with a library identity as well.
+/// `key` folds in everything a certificate reads: the cell's content
+/// hash, the design-rule fingerprint, and the content of the schematic
+/// entries its subtree resolves. One store can therefore serve several
+/// schematic libraries without a salt.
 pub trait CertificateStore {
     /// Returns the certificate for `key`, building it at most once per
     /// distinct key. `build` must be called outside any lock that
@@ -202,6 +203,10 @@ fn mix_coord(h: u64, c: Coord) -> u64 {
     mix(h, c as u64)
 }
 
+fn mix_str(h: u64, s: &str) -> u64 {
+    s.bytes().fold(mix(h, s.len() as u64), |h, b| mix(h, b as u64))
+}
+
 fn mix_rect(h: u64, r: Rect) -> u64 {
     let h = mix_coord(h, r.left());
     let h = mix_coord(h, r.bottom());
@@ -232,10 +237,7 @@ fn cell_hash(cell: &Cell, memo: &mut HashMap<*const Cell, u64>) -> u64 {
     if let Some(&h) = memo.get(&ptr) {
         return h;
     }
-    let mut h = mix(0x9e37_79b9_7f4a_7c15, cell.name().len() as u64);
-    for b in cell.name().bytes() {
-        h = mix(h, b as u64);
-    }
+    let mut h = mix_str(0x9e37_79b9_7f4a_7c15, cell.name());
     h = mix_rect(h, cell.bbox());
     for &(layer, r) in cell.shapes() {
         h = mix(h, u64::from(layer.id().index()));
@@ -245,6 +247,53 @@ fn cell_hash(cell: &Cell, memo: &mut HashMap<*const Cell, u64>) -> u64 {
         h = mix_transform(h, inst.transform);
         h = mix(h, cell_hash(&inst.master, memo));
     }
+    memo.insert(ptr, h);
+    h
+}
+
+/// Content hash of one schematic library entry: everything composition
+/// and LVS read from it.
+fn schematic_hash(s: &CellSchematic) -> u64 {
+    let mut h = mix_str(0x5c4e_3a71_c0de_0001, &s.name);
+    h = mix(h, s.nets.len() as u64);
+    for net in &s.nets {
+        h = mix_str(h, &net.name);
+        h = mix(h, net.anchors.len() as u64);
+        for &(layer, r) in &net.anchors {
+            h = mix(h, u64::from(layer.id().index()));
+            h = mix_rect(h, r);
+        }
+    }
+    h = mix(h, s.devices.len() as u64);
+    for d in &s.devices {
+        h = mix(h, d.polarity as u64);
+        h = mix_coord(h, d.w);
+        h = mix_coord(h, d.l);
+        h = mix(h, d.gate as u64);
+        h = mix(h, d.sd[0] as u64);
+        h = mix(h, d.sd[1] as u64);
+        h = mix_rect(h, d.location);
+    }
+    h
+}
+
+/// Fingerprint of the library entries a cell's certificate reads: the
+/// entries `schematic::collect` resolves for it — those of the
+/// geometry-bearing cells in its subtree, looked up by name (a missing
+/// entry counts too: it becomes the certificate's error). Shared `Arc`
+/// subtrees are memoized by pointer.
+fn lib_hash(cell: &Cell, lib: &SchematicLib, memo: &mut HashMap<*const Cell, u64>) -> u64 {
+    let ptr: *const Cell = cell;
+    if let Some(&h) = memo.get(&ptr) {
+        return h;
+    }
+    let h = if cell.shapes().is_empty() {
+        cell.instances().iter().fold(0x1b5c_0f3e_9a27_d64b, |h, inst| {
+            mix(h, lib_hash(&inst.master, lib, memo))
+        })
+    } else {
+        lib.get(cell.name()).map_or(0x6d15_5106, |s| schematic_hash(s))
+    };
     memo.insert(ptr, h);
     h
 }
@@ -313,6 +362,7 @@ struct Hier<'a> {
     rules_fp: u64,
     halo: Coord,
     hash_memo: HashMap<*const Cell, u64>,
+    lib_memo: HashMap<*const Cell, u64>,
     cert_memo: HashMap<*const Cell, Arc<CellCertificate>>,
 }
 
@@ -325,6 +375,7 @@ impl<'a> Hier<'a> {
             rules_fp: rules_fingerprint(rules),
             halo: drc::interaction_distance(rules),
             hash_memo: HashMap::new(),
+            lib_memo: HashMap::new(),
             cert_memo: HashMap::new(),
         }
     }
@@ -334,7 +385,10 @@ impl<'a> Hier<'a> {
         if let Some(c) = self.cert_memo.get(&ptr) {
             return c.clone();
         }
-        let key = mix(self.rules_fp, cell_hash(cell, &mut self.hash_memo));
+        let key = mix(
+            mix(self.rules_fp, cell_hash(cell, &mut self.hash_memo)),
+            lib_hash(cell, self.lib, &mut self.lib_memo),
+        );
         let store = self.store;
         let cert = store.get_or_build(key, &mut || self.build_cert(cell));
         self.cert_memo.insert(ptr, cert.clone());
@@ -924,6 +978,36 @@ mod tests {
         let second = verify_cell_hier(process.rules(), &top2, &lib, &store);
         assert_eq!(store.builds(), 2);
         assert_eq!(first.to_string(), second.to_string());
+    }
+
+    #[test]
+    fn certificate_keys_cover_the_resolved_schematic_entries() {
+        // Two libraries that differ in one device width of the one entry
+        // the grid resolves: a store shared between them must not hand
+        // the first library's certificates to the second.
+        let process = Process::cda07();
+        let lib = SchematicLib::standard(&process);
+        let mut wider = SchematicLib::standard(&process);
+        let mut sram = (**lib.get("sram6t").expect("standard entry")).clone();
+        sram.devices[0].w += process.rules().lambda();
+        wider.insert(sram);
+        let store = MemCertStore::new();
+        let top = grid(&process, 4, 4);
+        let first = verify_cell_hier(process.rules(), &top, &lib, &store);
+        assert!(first.is_clean(), "{first}");
+        let second = verify_cell_hier(process.rules(), &top, &wider, &store);
+        let fresh = verify_cell_hier(process.rules(), &top, &wider, &NoCertStore);
+        assert!(!fresh.is_clean(), "the width change must show in LVS");
+        assert_eq!(second.to_string(), fresh.to_string());
+        // An entry the cell never resolves does not split the key.
+        let mut unrelated = SchematicLib::standard(&process);
+        let mut dff = (**lib.get("dff").expect("standard entry")).clone();
+        dff.devices[0].w += process.rules().lambda();
+        unrelated.insert(dff);
+        let builds = store.builds();
+        let third = verify_cell_hier(process.rules(), &top, &unrelated, &store);
+        assert_eq!(store.builds(), builds);
+        assert_eq!(third.to_string(), first.to_string());
     }
 
     #[test]
