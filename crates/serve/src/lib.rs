@@ -1,33 +1,25 @@
-//! **bisram-serve** — the long-running compile service and the
-//! declarative sweep orchestrator on top of it.
+//! **bisram-serve** — the compile service, its daemon, the
+//! declarative sweep orchestrator and the `bisramgen` command line.
 //!
-//! The compiler itself (`bisramgen`) is a one-shot tool, but its staged
-//! pipeline, content-keyed [`CellCache`](bisramgen::CellCache) and
-//! `bisram-exec` executor are the makings of a server. This crate adds
-//! the two missing layers:
-//!
+//! * **Jobs** ([`job`]): one parameter table per job kind (compile /
+//!   characterize / verify, rare-yield, fleet, chip) drives spec
+//!   parsing, `bisramgen` flags (`--key value` is `key = value`),
+//!   `--help` and the canonical text.
 //! * **Service / daemon** ([`service`], [`daemon`], [`client`],
-//!   [`proto`]): `bisramgen serve --socket <path>` runs a long-lived
-//!   server over a Unix domain socket (or a localhost TCP fallback)
-//!   speaking length-prefixed, checksummed frames (the shared
-//!   [`bisram_wire`] framing — the same implementation the BIST scan
-//!   link uses). Requests are typed compile / verify / characterize /
-//!   rare-yield / fleet jobs; the server shares one process-wide cache
-//!   across every request, collapses identical in-flight parameter
-//!   points into a single compile (single-flight dedup), and streams
-//!   artifact sections back one frame at a time. Malformed, corrupted
-//!   or oversized frames produce typed error responses with
-//!   retry-classified status codes — never a panic, never a crashed
-//!   daemon.
-//! * **Sweep orchestrator** ([`spec`], [`sweep`]): a declarative
-//!   plain-text spec describes axes over `RamParams` fields ×
-//!   processes × spare counts × verify modes; the orchestrator expands
-//!   the cartesian matrix, dedupes identical points, executes them
-//!   through the same service layer (in-process when no daemon is
-//!   running, over the socket when one is), and reduces the results to
-//!   a deterministic Pareto report over area / yield / MTTF / repair
-//!   cost. The report is byte-identical at any worker count and
-//!   whether it ran in-process or through a daemon.
+//!   [`proto`]): one runner per job kind, shared by the CLI and by
+//!   `bisramgen serve`, a long-lived server on a Unix socket (or a
+//!   localhost TCP fallback) that speaks the checksummed
+//!   [`bisram_wire`] frames. It shares one cache across requests,
+//!   collapses identical in-flight requests into one execution and
+//!   streams artifact sections back. Malformed, corrupted or oversized
+//!   frames and panicking jobs get typed, retry-classified error
+//!   responses — never a crashed or wedged daemon.
+//! * **Sweep orchestrator** ([`spec`], [`sweep`]): expands a plain-text
+//!   spec of axes into the cartesian matrix of `characterize` jobs,
+//!   runs them through the same service (in-process or over the
+//!   socket) and reduces them to a Pareto report over area / yield /
+//!   MTTF / repair cost, byte-identical at any worker count and on
+//!   either backend.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
@@ -41,8 +33,8 @@ pub mod sweep;
 
 pub use client::{Client, ClientError};
 pub use daemon::{Daemon, DaemonConfig, Listen};
-pub use job::{CompileJob, FleetJob, JobSpec, RareJob, VerifyChoice};
+pub use job::{ChipJob, CompileJob, FleetJob, JobSpec, RareJob, VerifyChoice};
 pub use proto::RespFrame;
-pub use service::{JobFailure, JobOutcome, JobResult, Section, Service};
+pub use service::{JobFailure, JobOutcome, JobResult, Ran, Section, Service};
 pub use spec::{Spec, SpecError};
 pub use sweep::{run_sweep, SweepBackend, SweepReport, SweepSpec};

@@ -194,52 +194,6 @@ impl Spec {
     }
 }
 
-/// Parses a `usize` value, naming the key in the error.
-///
-/// # Errors
-///
-/// A message naming the key and the offending text.
-pub fn parse_usize(key: &str, v: &str) -> Result<usize, String> {
-    v.parse::<usize>()
-        .map_err(|_| format!("key {key:?}: expected a number, got {v:?}"))
-}
-
-/// Parses a `u64` value, naming the key in the error.
-///
-/// # Errors
-///
-/// A message naming the key and the offending text.
-pub fn parse_u64(key: &str, v: &str) -> Result<u64, String> {
-    v.parse::<u64>()
-        .map_err(|_| format!("key {key:?}: expected a number, got {v:?}"))
-}
-
-/// Parses a finite `f64` value, naming the key in the error.
-///
-/// # Errors
-///
-/// A message naming the key and the offending text.
-pub fn parse_f64(key: &str, v: &str) -> Result<f64, String> {
-    v.parse::<f64>()
-        .ok()
-        .filter(|x| x.is_finite())
-        .ok_or_else(|| format!("key {key:?}: expected a finite number, got {v:?}"))
-}
-
-/// Parses a boolean (`0`/`1`/`true`/`false`), naming the key in the
-/// error.
-///
-/// # Errors
-///
-/// A message naming the key and the offending text.
-pub fn parse_bool(key: &str, v: &str) -> Result<bool, String> {
-    match v {
-        "0" | "false" => Ok(false),
-        "1" | "true" => Ok(true),
-        other => Err(format!("key {key:?}: expected 0|1|true|false, got {other:?}")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,17 +254,5 @@ mod tests {
         let spec = Spec::parse("words = 1\ntypo = 2\n").unwrap();
         assert_eq!(spec.unknown_key(&["words"]), Some("typo"));
         assert_eq!(spec.unknown_key(&["words", "typo"]), None);
-    }
-
-    #[test]
-    fn typed_value_parsers_name_the_key() {
-        assert_eq!(parse_usize("w", "42").unwrap(), 42);
-        assert!(parse_usize("w", "x").unwrap_err().contains("\"w\""));
-        assert_eq!(parse_f64("l", "1e-9").unwrap(), 1e-9);
-        assert!(parse_f64("l", "inf").is_err());
-        assert!(parse_bool("c", "1").unwrap());
-        assert!(!parse_bool("c", "false").unwrap());
-        assert!(parse_bool("c", "yes").is_err());
-        assert_eq!(parse_u64("s", "7").unwrap(), 7);
     }
 }
