@@ -38,24 +38,47 @@ pub fn binomial_cdf(n: usize, p: f64, k: usize) -> f64 {
         }
         cdf.min(1.0)
     } else {
-        // Log-space accumulation.
-        let mut log_pmf = log_pmf0;
-        let ratio_ln = (p / q).ln();
-        let mut acc: f64 = 0.0;
-        let mut max_log = f64::NEG_INFINITY;
-        let mut logs = Vec::with_capacity(k + 1);
+        log_space_cdf(n, p, k, log_pmf0)
+    }
+}
+
+/// The binomial CDF summed in log space, for `n` so large that the
+/// direct recurrence's first term `(1-p)^n = e^log_pmf0` underflows. Two
+/// passes of the same recurrence: the first finds the largest log term,
+/// the second sums the terms scaled by it.
+fn log_space_cdf(n: usize, p: f64, k: usize, log_pmf0: f64) -> f64 {
+    let ratio_ln = (p / (1.0 - p)).ln();
+    let log_pmfs = || {
+        std::iter::once(log_pmf0).chain((0..k).scan(log_pmf0, move |log_pmf, i| {
+            *log_pmf += ((n - i) as f64 / (i + 1) as f64).ln() + ratio_ln;
+            Some(*log_pmf)
+        }))
+    };
+    let max_log = log_pmfs().fold(f64::NEG_INFINITY, f64::max);
+    let acc = log_pmfs().fold(0.0, |acc, l| acc + (l - max_log).exp());
+    (acc.ln() + max_log).exp().min(1.0)
+}
+
+/// [`log_space_cdf`] as first written, buffering every log term in a
+/// `Vec`: the reference the two-pass version must match bit for bit.
+#[cfg(test)]
+fn log_space_cdf_buffered(n: usize, p: f64, k: usize, log_pmf0: f64) -> f64 {
+    let mut log_pmf = log_pmf0;
+    let ratio_ln = (p / (1.0 - p)).ln();
+    let mut acc: f64 = 0.0;
+    let mut max_log = f64::NEG_INFINITY;
+    let mut logs = Vec::with_capacity(k + 1);
+    logs.push(log_pmf);
+    max_log = max_log.max(log_pmf);
+    for i in 0..k {
+        log_pmf += ((n - i) as f64 / (i + 1) as f64).ln() + ratio_ln;
         logs.push(log_pmf);
         max_log = max_log.max(log_pmf);
-        for i in 0..k {
-            log_pmf += ((n - i) as f64 / (i + 1) as f64).ln() + ratio_ln;
-            logs.push(log_pmf);
-            max_log = max_log.max(log_pmf);
-        }
-        for l in logs {
-            acc += (l - max_log).exp();
-        }
-        (acc.ln() + max_log).exp().min(1.0)
     }
+    for l in logs {
+        acc += (l - max_log).exp();
+    }
+    (acc.ln() + max_log).exp().min(1.0)
 }
 
 /// The analytic repairability of a defect pattern with `defects` average
@@ -232,6 +255,27 @@ mod tests {
         assert!(v.is_finite() && (0.0..=1.0).contains(&v));
         // Around the mean the CDF is near 0.5 or above.
         assert!(binomial_cdf(5000, 0.4, 2000) > 0.2);
+    }
+
+    #[test]
+    fn two_pass_log_space_sum_matches_the_buffered_reference() {
+        // n from just past the branch switch to a million rows, p
+        // log-spaced over (0, 1), k up to past the spare counts the
+        // models use.
+        let mut cases = 0;
+        for n in (10..=20).map(|e| 1usize << e) {
+            for j in 1..40 {
+                let p = 10f64.powf(-8.0 * f64::from(j) / 40.0);
+                let log_pmf0 = n as f64 * (1.0 - p).ln();
+                for k in (0..=16).chain([64, 1000]) {
+                    let fast = log_space_cdf(n, p, k, log_pmf0);
+                    let reference = log_space_cdf_buffered(n, p, k, log_pmf0);
+                    assert_eq!(fast.to_bits(), reference.to_bits(), "n={n} p={p} k={k}");
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 11 * 39 * 19);
     }
 
     #[test]
