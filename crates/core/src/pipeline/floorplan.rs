@@ -8,7 +8,7 @@ use crate::compiler::CompileError;
 use bisram_layout::placer::{place_with_margin, Macro, Placement};
 use bisram_layout::route::{self, Route};
 use bisram_layout::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The placed-and-routed module.
 #[derive(Debug, Clone)]
@@ -19,6 +19,9 @@ pub struct Floorplan {
     pub routes: Vec<Route>,
     /// The assembled chip cell (macro instances + route shapes).
     pub chip: Cell,
+    /// The flattened CIF of `chip`, rendered on first use: every
+    /// compile that shares this cached floorplan shares the render.
+    pub(crate) cif: OnceLock<String>,
 }
 
 /// Builds the [`Floorplan`] from the macro set.
@@ -69,6 +72,7 @@ impl Stage for FloorplanStage {
             placement,
             routes,
             chip,
+            cif: OnceLock::new(),
         })
     }
 
