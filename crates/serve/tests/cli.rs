@@ -319,6 +319,20 @@ fn golden_chip_diagnose() {
 }
 
 #[test]
+fn golden_chip_diagnose_16_macros_at_1_and_2_jobs() {
+    // Seed 7 gives macros with more classified than exact suspects and
+    // two detect-only macros. Both worker counts must match one row set.
+    let mut rows = Vec::new();
+    for jobs in ["1", "2"] {
+        let args = ["chip-diagnose", "--macros", "16", "--seed", "7", "--jobs", jobs];
+        rows.extend(cli_rows(&format!("chip-diagnose-16-j{jobs}"), &args, false));
+    }
+    rows.sort();
+    rows.dedup();
+    check_golden("chip-diagnose-16", rows);
+}
+
+#[test]
 fn golden_example_specs() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs");
     let mut specs: Vec<_> = std::fs::read_dir(&dir)
