@@ -37,6 +37,8 @@
 mod fault;
 mod inject;
 pub mod lane;
+#[cfg(test)]
+mod oracle;
 mod org;
 mod sram;
 mod word;
