@@ -6,15 +6,15 @@
 //! the claimed quantity: total over-the-cell route length for port
 //! alignment, bounding-box aspect ratio for the squareness term.
 
+use bisram_bench::harness::Harness;
 use bisram_bench::{banner, quick_harness};
 use bisram_geom::{Port, Rect, Side};
 use bisram_layout::placer::{place_with_options, Macro, PlacerOptions};
 use bisram_layout::route;
 use bisram_layout::Cell;
-use bisram_tech::{Layer, Process};
-use bisram_bench::harness::Harness;
 use bisram_rng::rngs::StdRng;
 use bisram_rng::{Rng, SeedableRng};
+use bisram_tech::{Layer, Process};
 use std::sync::Arc;
 
 /// A synthetic macro set shaped like the compiler's: one big block,
@@ -122,9 +122,7 @@ fn print_experiment() {
         "\nport alignment cuts average route length by {:.0}% (paper: 'improves routability and interconnect lengths')",
         (1.0 - full_wire / no_port_wire) * 100.0
     );
-    println!(
-        "squareness keeps the aspect at {full_aspect:.2} vs {no_aspect_aspect:.2} without it"
-    );
+    println!("squareness keeps the aspect at {full_aspect:.2} vs {no_aspect_aspect:.2} without it");
     assert!(
         full_wire < no_port_wire,
         "port alignment must shorten the routes"

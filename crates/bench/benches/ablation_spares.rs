@@ -11,12 +11,12 @@
 //! around four spares, beyond which the extra rows buy little yield but
 //! keep growing the TLB delay and the early-life reliability penalty.
 
+use bisram_bench::harness::Harness;
 use bisram_bench::{banner, quick_harness};
 use bisram_circuit::campath;
 use bisram_tech::Process;
 use bisram_yield::optimize::optimize_spares;
 use bisram_yield::reliability::ReliabilityModel;
-use bisram_bench::harness::Harness;
 
 fn print_experiment() {
     banner(
@@ -40,7 +40,10 @@ fn print_experiment() {
         let rel = ReliabilityModel::fig5(s).reliability(3.0 * 8766.0);
         println!(
             "{s:>7} {:>12.4} {:>12.3} {:>9.0} ps {:>14.5}",
-            p.yield_with_bisr, p.relative_cost, tlb * 1e12, rel
+            p.yield_with_bisr,
+            p.relative_cost,
+            tlb * 1e12,
+            rel
         );
     }
     let cost = |n: usize| sweep.points[n].relative_cost;
@@ -48,7 +51,9 @@ fn print_experiment() {
         "\nfour spares capture {:.0}% of the achievable cost saving at {defects} defects;",
         100.0 * (cost(0) - cost(4)) / (cost(0) - cost(sweep.optimal_spares))
     );
-    println!("beyond that the TLB delay keeps growing and the masking guarantee (1-4 spares) is lost,");
+    println!(
+        "beyond that the TLB delay keeps growing and the masking guarantee (1-4 spares) is lost,"
+    );
     println!("while early-life reliability keeps dropping — the paper's choice of 4 is the knee.");
     assert!(cost(4) < cost(0));
     assert!((cost(0) - cost(4)) > 0.9 * (cost(0) - cost(sweep.optimal_spares)));

@@ -5,14 +5,17 @@
 //! controller area is found to be a very tiny fraction of the memory
 //! array area (less than 0.1%) for a 16-kbyte RAM."
 
+use bisram_bench::harness::Harness;
 use bisram_bench::{banner, quick_harness};
 use bisram_bist::march;
 use bisram_bist::trpla;
 use bisramgen::{compile, RamParams};
-use bisram_bench::harness::Harness;
 
 fn print_experiment() {
-    banner("§V/§VI", "TRPLA controller: state count, encoding, PLA size, area fraction");
+    banner(
+        "§V/§VI",
+        "TRPLA controller: state count, encoding, PLA size, area fraction",
+    );
 
     for test in [march::ifa9(), march::ifa13(), march::mats_plus()] {
         let program = trpla::assemble(&test);

@@ -40,12 +40,34 @@ fn all_kinds(o: &ArrayOrg) -> Vec<FaultKind> {
         FaultKind::StuckOpen,
         FaultKind::Retention { leaks_to: false },
         FaultKind::Retention { leaks_to: true },
-        FaultKind::CouplingInv { aggressor: same_word, rising: true },
-        FaultKind::CouplingInv { aggressor: other_row, rising: false },
-        FaultKind::CouplingIdem { aggressor: same_word, rising: true, forced: false },
-        FaultKind::CouplingIdem { aggressor: other_row, rising: false, forced: true },
-        FaultKind::StateCoupling { aggressor: same_word, state: true, forced: false },
-        FaultKind::StateCoupling { aggressor: other_row, state: false, forced: true },
+        FaultKind::CouplingInv {
+            aggressor: same_word,
+            rising: true,
+        },
+        FaultKind::CouplingInv {
+            aggressor: other_row,
+            rising: false,
+        },
+        FaultKind::CouplingIdem {
+            aggressor: same_word,
+            rising: true,
+            forced: false,
+        },
+        FaultKind::CouplingIdem {
+            aggressor: other_row,
+            rising: false,
+            forced: true,
+        },
+        FaultKind::StateCoupling {
+            aggressor: same_word,
+            state: true,
+            forced: false,
+        },
+        FaultKind::StateCoupling {
+            aggressor: other_row,
+            state: false,
+            forced: true,
+        },
     ]
 }
 
@@ -54,7 +76,10 @@ fn accuracy_matrix() {
     let victim = o.cell_at(11, 2, 3);
     let kinds = all_kinds(&o);
     let total = kinds.len();
-    println!("{:<58} {:>8} {:>10}", "injected kind (IFA-13)", "exact", "candidates");
+    println!(
+        "{:<58} {:>8} {:>10}",
+        "injected kind (IFA-13)", "exact", "candidates"
+    );
     let mut hits = 0;
     for kind in kinds {
         let mut m = SramModel::new(o);
@@ -98,7 +123,11 @@ fn transport_survival() {
     ];
     let counted: usize = states.iter().map(|&s| report.count(s)).sum();
     assert_eq!(counted, 64, "every macro in exactly one explicit state");
-    let retried = report.macros.iter().filter(|m| m.transport_attempts > 1).count();
+    let retried = report
+        .macros
+        .iter()
+        .filter(|m| m.transport_attempts > 1)
+        .count();
     assert!(retried > 0, "noise never exercised the retry path");
     println!(
         "64-macro noisy link: {} repaired, {} detect-only, {} quarantined, {} failed ({} retried sessions)",
@@ -124,7 +153,10 @@ fn transport_survival() {
 
 fn budget_sweep() {
     let base = ChipConfig::new(heterogeneous_chip(16, 0xB1D), 0, 0xB1D);
-    println!("{:>12} {:>8} {:>8} {:>10}", "budget", "granted", "spent", "repaired");
+    println!(
+        "{:>12} {:>8} {:>8} {:>10}",
+        "budget", "granted", "spent", "repaired"
+    );
     let mut last_granted = 0;
     let mut last_spent = 0;
     for budget in [0u64, 64, 256, 1024, u64::MAX] {
@@ -138,7 +170,11 @@ fn budget_sweep() {
         );
         last_granted = report.plan.rows_granted;
         last_spent = report.plan.spent;
-        let label = if budget == u64::MAX { "unlimited".to_owned() } else { budget.to_string() };
+        let label = if budget == u64::MAX {
+            "unlimited".to_owned()
+        } else {
+            budget.to_string()
+        };
         println!(
             "{label:>12} {:>8} {:>8} {:>10}",
             report.plan.rows_granted,
@@ -166,7 +202,9 @@ fn main() {
         b.iter(|| {
             let mut m = SramModel::new(o);
             m.inject(Fault::new(o.cell_at(17, 1, 2), FaultKind::StuckAt(true)));
-            diagnose(&mut m, &DiagnosisConfig::new(march::ifa13())).faults.len()
+            diagnose(&mut m, &DiagnosisConfig::new(march::ifa13()))
+                .faults
+                .len()
         })
     });
     crit.bench_function("probe_cfin_far_aggressor", |b| {
@@ -175,7 +213,10 @@ fn main() {
             let mut m = SramModel::new(o);
             m.inject(Fault::new(
                 o.cell_at(11, 2, 3),
-                FaultKind::CouplingInv { aggressor: o.cell_at(40, 1, 3), rising: false },
+                FaultKind::CouplingInv {
+                    aggressor: o.cell_at(40, 1, 3),
+                    rising: false,
+                },
             ));
             diagnose(&mut m, &DiagnosisConfig::new(march::ifa13())).probe_writes
         })

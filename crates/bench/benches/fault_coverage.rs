@@ -10,11 +10,11 @@
 //! The reproduction measures per-class coverage for the test library
 //! under both the Johnson schedule and the single-background baseline.
 
+use bisram_bench::harness::Harness;
 use bisram_bench::{banner, quick_harness};
 use bisram_bist::coverage;
 use bisram_bist::march;
 use bisram_mem::{ArrayOrg, FaultClass};
-use bisram_bench::harness::Harness;
 use bisram_rng::rngs::StdRng;
 use bisram_rng::SeedableRng;
 
@@ -44,8 +44,12 @@ fn print_experiment() {
     for (test, johnson, label) in configs {
         let mut rng = StdRng::seed_from_u64(101);
         let report = coverage::measure(&mut rng, org(), &test, johnson, PER_CLASS, true);
-        let pct =
-            |class: FaultClass| report.class(class).map(|c| c.fraction() * 100.0).unwrap_or(0.0);
+        let pct = |class: FaultClass| {
+            report
+                .class(class)
+                .map(|c| c.fraction() * 100.0)
+                .unwrap_or(0.0)
+        };
         println!(
             "{:<20} {:>5.0}% {:>5.0}% {:>5.0}% {:>5.0}% {:>5.0}% {:>5.0}% {:>5.0}%",
             label,

@@ -7,9 +7,9 @@
 //! the smaller the differential the longer the decision, but even a few
 //! µA resolve within a nanosecond-scale window.
 
+use bisram_bench::harness::Harness;
 use bisram_bench::{banner, latch_time, quick_harness, senseamp_transient};
 use bisram_tech::Process;
-use bisram_bench::harness::Harness;
 
 fn print_figure() {
     banner(

@@ -7,13 +7,13 @@
 //! series is cross-checked against Monte-Carlo fault injection through
 //! the actual two-pass BIST + BISR flow.
 
+use bisram_bench::harness::Harness;
 use bisram_bench::{banner, quick_harness};
 use bisram_mem::ArrayOrg;
-use bisram_yield::montecarlo;
-use bisram_yield::repairability::YieldModel;
-use bisram_bench::harness::Harness;
 use bisram_rng::rngs::StdRng;
 use bisram_rng::SeedableRng;
+use bisram_yield::montecarlo;
+use bisram_yield::repairability::YieldModel;
 
 fn fig4_org(spares: usize) -> ArrayOrg {
     ArrayOrg::new(4096, 4, 4, spares).expect("fig4 geometry is valid")
@@ -46,7 +46,10 @@ fn print_figure() {
     // Shape assertions the paper's plot shows.
     let at = |n: f64| rows.iter().find(|r| r.0 == n).copied().expect("row exists");
     let (_, a, b, c, d) = at(16.0);
-    assert!(b > a && c > b && d > c, "BISR curves must dominate in order");
+    assert!(
+        b > a && c > b && d > c,
+        "BISR curves must dominate in order"
+    );
     println!("\nshape check: at 16 defects, (a) < (b) < (c) < (d) as in the paper  [OK]");
 
     // Monte-Carlo cross-check at a mid-curve point.

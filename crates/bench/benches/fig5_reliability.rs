@@ -6,9 +6,9 @@
 //! spares themselves must stay fault-free) and only win later; the
 //! 4-spare and 8-spare curves cross around 8 years (~70 000 h).
 
+use bisram_bench::harness::Harness;
 use bisram_bench::{banner, quick_harness};
 use bisram_yield::reliability::ReliabilityModel;
-use bisram_bench::harness::Harness;
 
 fn print_figure() {
     banner(
@@ -56,7 +56,11 @@ fn print_figure() {
     println!("\nMTTF (numeric integration of R(t)):");
     for s in [0usize, 4, 8, 16] {
         let mttf = ReliabilityModel::fig5(s).mttf_hours();
-        println!("  {s:>2} spares: {:>10.0} h ({:.1} years)", mttf, mttf / 8766.0);
+        println!(
+            "  {s:>2} spares: {:>10.0} h ({:.1} years)",
+            mttf,
+            mttf / 8766.0
+        );
     }
 }
 

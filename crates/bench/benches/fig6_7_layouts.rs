@@ -7,10 +7,10 @@
 //! The reproduction compiles both, reports dimensions / area /
 //! utilization, and writes floorplan SVGs next to the Criterion output.
 
-use bisram_bench::{banner, quick_harness};
-use bisramgen::{compile, RamParams};
-use bisram_tech::Process;
 use bisram_bench::harness::Harness;
+use bisram_bench::{banner, quick_harness};
+use bisram_tech::Process;
+use bisramgen::{compile, RamParams};
 
 fn build(words: usize, bpw: usize, bpc: usize) -> bisramgen::CompiledRam {
     let params = RamParams::builder()
@@ -36,7 +36,10 @@ fn print_figure() {
         "figure", "capacity", "rows", "chip w x h mm", "area mm2", "utilization", "overhead"
     );
     let mut areas = Vec::new();
-    for (fig, words, bpw, bpc) in [("Fig. 6", 4096usize, 128usize, 8usize), ("Fig. 7", 4096, 256, 16)] {
+    for (fig, words, bpw, bpc) in [
+        ("Fig. 6", 4096usize, 128usize, 8usize),
+        ("Fig. 7", 4096, 256, 16),
+    ] {
         let ram = build(words, bpw, bpc);
         let bbox = ram.placement().bbox();
         println!(

@@ -159,6 +159,8 @@ fn main() {
     c.bench_function("rare_is_200_trials", |b| {
         b.iter(|| black_box(e.run_is_mixture(0xCD, 200, 8, &shifts)))
     });
-    c.bench_function("rare_find_shifts", |b| b.iter(|| black_box(e.find_shifts())));
+    c.bench_function("rare_find_shifts", |b| {
+        b.iter(|| black_box(e.find_shifts()))
+    });
     c.final_summary();
 }

@@ -17,6 +17,7 @@
 //!   granularity cost the paper accepts in exchange for the untouched
 //!   access path.
 
+use bisram_bench::harness::Harness;
 use bisram_bench::{banner, quick_harness};
 use bisram_bist::engine::MarchConfig;
 use bisram_bist::march;
@@ -24,7 +25,6 @@ use bisram_mem::{random_faults, row_failure, ArrayOrg, FaultMix, SramModel};
 use bisram_repair::chen_sunada::{self, ChenSunadaConfig};
 use bisram_repair::flow::{self, RepairSetup};
 use bisram_repair::sawada;
-use bisram_bench::harness::Harness;
 use bisram_rng::rngs::StdRng;
 use bisram_rng::Rng;
 use bisram_rng::SeedableRng;
@@ -95,7 +95,10 @@ fn print_experiment() {
     );
 
     println!("\nclustered defects (k whole-row failures = k*bpc faulty addresses):");
-    println!("{:>8} {:>12} {:>12} {:>12}", "rows", "BISRAMGEN", "Chen-Sunada", "Sawada");
+    println!(
+        "{:>8} {:>12} {:>12} {:>12}",
+        "rows", "BISRAMGEN", "Chen-Sunada", "Sawada"
+    );
     let mut ours_row4 = 0.0;
     let mut chen_row2 = 0.0;
     for k in [1usize, 2, 3, 4, 5] {
@@ -117,18 +120,31 @@ fn print_experiment() {
         if k == 2 {
             chen_row2 = b;
         }
-        println!("{k:>8} {:>11.0}% {:>11.0}% {:>11.0}%", a * 100.0, b * 100.0, c * 100.0);
+        println!(
+            "{k:>8} {:>11.0}% {:>11.0}% {:>11.0}%",
+            a * 100.0,
+            b * 100.0,
+            c * 100.0
+        );
     }
     assert!(ours_row4 == 1.0, "four dead rows fit four spare rows");
     assert!(chen_row2 < 0.7, "two dead rows usually kill two subblocks");
 
     println!("\nscattered defects (independent single-cell faults):");
-    println!("{:>8} {:>12} {:>12} {:>12}", "faults", "BISRAMGEN", "Chen-Sunada", "Sawada");
+    println!(
+        "{:>8} {:>12} {:>12} {:>12}",
+        "faults", "BISRAMGEN", "Chen-Sunada", "Sawada"
+    );
     for faults in [1usize, 2, 4, 6, 8] {
         let (a, b, c) = success_rates(faults as u64 * 7 + 1, |rng| {
             random_faults(rng, &org(), faults, &FaultMix::stuck_at_only())
         });
-        println!("{faults:>8} {:>11.0}% {:>11.0}% {:>11.0}%", a * 100.0, b * 100.0, c * 100.0);
+        println!(
+            "{faults:>8} {:>11.0}% {:>11.0}% {:>11.0}%",
+            a * 100.0,
+            b * 100.0,
+            c * 100.0
+        );
         if faults == 1 {
             assert!(a == 1.0 && c == 1.0, "everyone repairs one fault");
         }

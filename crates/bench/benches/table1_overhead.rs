@@ -6,10 +6,10 @@
 //! grows, with the four redundant rows themselves contributing well
 //! under 1%.
 
-use bisram_bench::{banner, quick_harness};
-use bisramgen::overhead_row;
-use bisram_tech::Process;
 use bisram_bench::harness::Harness;
+use bisram_bench::{banner, quick_harness};
+use bisram_tech::Process;
+use bisramgen::overhead_row;
 
 /// The geometry sweep of the reproduced table (words, bpw, bpc).
 const GEOMETRIES: &[(usize, usize, usize)] = &[
@@ -46,7 +46,11 @@ fn print_table() {
     println!("\npaper: overhead <= 7% for all realistic sizes          [OK]");
     println!(
         "paper: overhead shrinks with array size                {}",
-        if monotone { "[OK]" } else { "[mostly — see EXPERIMENTS.md]" }
+        if monotone {
+            "[OK]"
+        } else {
+            "[mostly — see EXPERIMENTS.md]"
+        }
     );
 }
 

@@ -9,10 +9,10 @@
 //! The microprocessor dataset is synthetic but calibrated (the original
 //! is proprietary MPR data) — see DESIGN.md.
 
+use bisram_bench::harness::Harness;
 use bisram_bench::{banner, quick_harness};
 use bisram_yield::cost::{self, CostModel};
 use bisram_yield::mpr;
-use bisram_bench::harness::Harness;
 
 fn print_table() {
     banner(
@@ -44,15 +44,23 @@ fn print_table() {
             }
             None => println!(
                 "{:<18} {:>6} {:>7.0} {:>8.2} {:>10.2} {:>10} {:>7}",
-                cmp.name, cpu.metal_layers, cpu.die_area_mm2, cpu.die_yield,
-                cmp.without.die_cost, "-", "-"
+                cmp.name,
+                cpu.metal_layers,
+                cpu.die_area_mm2,
+                cpu.die_yield,
+                cmp.without.die_cost,
+                "-",
+                "-"
             ),
         }
     }
     println!(
         "\npaper: 'a significant decrease ... often by a factor of about 2'; best measured ratio {best_ratio:.2}x"
     );
-    assert!(best_ratio > 1.5, "the headline 2x-class improvement must appear");
+    assert!(
+        best_ratio > 1.5,
+        "the headline 2x-class improvement must appear"
+    );
 }
 
 fn main() {

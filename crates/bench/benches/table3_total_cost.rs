@@ -5,10 +5,10 @@
 //! case of Intel486DX2) to as much as 47.2% (in case of TI SuperSPARC),
 //! if the caches are made built-in self-repairable."
 
+use bisram_bench::harness::Harness;
 use bisram_bench::{banner, quick_harness};
 use bisram_yield::cost::{self, CostModel};
 use bisram_yield::mpr;
-use bisram_bench::harness::Harness;
 
 fn print_table() {
     banner(

@@ -6,14 +6,17 @@
 //! rely on the fact that the TLB operation is extremely fast. This will
 //! happen provided 1–4 spare rows are used."
 
+use bisram_bench::harness::Harness;
 use bisram_bench::{banner, quick_harness};
 use bisram_circuit::campath;
-use bisramgen::{Datasheet, RamParams};
 use bisram_tech::Process;
-use bisram_bench::harness::Harness;
+use bisramgen::{Datasheet, RamParams};
 
 fn print_experiment() {
-    banner("§VI", "TLB compare-and-map delay vs spare count (0.7 um process)");
+    banner(
+        "§VI",
+        "TLB compare-and-map delay vs spare count (0.7 um process)",
+    );
     let process = Process::cda07();
     // Fig. 4's array: 1024 regular rows -> 10 row-address bits.
     println!(

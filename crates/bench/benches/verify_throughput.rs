@@ -146,7 +146,11 @@ fn main() {
         let report = black_box(verify_cell(rules, &array, &lib));
         let secs = start.elapsed().as_secs_f64();
         assert!(report.is_clean(), "{n}x{n} flat report dirty:\n{report}");
-        println!("flat  {n:>5}x{n:<5} ({:>9} bits): {:>9.1} ms", n * n, secs * 1e3);
+        println!(
+            "flat  {n:>5}x{n:<5} ({:>9} bits): {:>9.1} ms",
+            n * n,
+            secs * 1e3
+        );
         flat_times.push((n, secs, report.to_string()));
     }
     let mut hier_times = Vec::new();
@@ -156,7 +160,11 @@ fn main() {
         let report = black_box(verify_cell_hier(rules, &array, &lib, &NoCertStore));
         let secs = start.elapsed().as_secs_f64();
         assert!(report.is_clean(), "{n}x{n} hier report dirty:\n{report}");
-        println!("hier  {n:>5}x{n:<5} ({:>9} bits): {:>9.1} ms", n * n, secs * 1e3);
+        println!(
+            "hier  {n:>5}x{n:<5} ({:>9} bits): {:>9.1} ms",
+            n * n,
+            secs * 1e3
+        );
         // Wherever both modes ran, the clean reports must be
         // byte-identical — the hierarchical-mode contract.
         if let Some((_, _, flat_bytes)) = flat_times.iter().find(|(m, _, _)| *m == n) {
@@ -198,11 +206,19 @@ fn main() {
             let start = Instant::now();
             let report = black_box(verify_cell_hier(rules, column, &lib, &NoCertStore));
             column_times[k] = column_times[k].min(start.elapsed().as_secs_f64());
-            assert!(report.is_clean(), "{}-row column hier report dirty:\n{report}", sizes[k]);
+            assert!(
+                report.is_clean(),
+                "{}-row column hier report dirty:\n{report}",
+                sizes[k]
+            );
         }
     }
     for (rows, secs) in sizes.iter().zip(column_times) {
-        println!("hier  {rows:>5} rows x 32 ({:>9} bits): {:>9.1} ms", rows * 32, secs * 1e3);
+        println!(
+            "hier  {rows:>5} rows x 32 ({:>9} bits): {:>9.1} ms",
+            rows * 32,
+            secs * 1e3
+        );
     }
     let growth = column_times[1] / column_times[0].max(1e-12);
     assert!(

@@ -290,8 +290,7 @@ impl Bencher {
 
         // Size each sample batch so the requested number of samples fills
         // the measurement budget.
-        let budget_per_sample =
-            self.measurement_time.as_secs_f64() / self.sample_size as f64;
+        let budget_per_sample = self.measurement_time.as_secs_f64() / self.sample_size as f64;
         let iters_per_sample = ((budget_per_sample / per_iter.max(1e-12)) as u64).max(1);
 
         let mut samples: Vec<f64> = Vec::with_capacity(self.sample_size);

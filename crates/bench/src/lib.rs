@@ -85,7 +85,12 @@ pub fn senseamp_transient(
 
 /// The latch decision time of a sense run: when the differential first
 /// exceeds `vdd/4` after the 1 ns stimulus.
-pub fn latch_time(result: &TranResult, bl: bisram_circuit::NodeId, blb: bisram_circuit::NodeId, vdd: f64) -> Option<f64> {
+pub fn latch_time(
+    result: &TranResult,
+    bl: bisram_circuit::NodeId,
+    blb: bisram_circuit::NodeId,
+    vdd: f64,
+) -> Option<f64> {
     let times = result.times();
     for (i, &t) in times.iter().enumerate() {
         if t < 1.0e-9 {

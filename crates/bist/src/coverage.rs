@@ -92,7 +92,10 @@ pub fn measure<R: Rng + ?Sized>(
         (
             FaultClass::Saf,
             Box::new(move |rng: &mut R| {
-                Fault::new(random_regular_cell(rng, &org), FaultKind::StuckAt(rng.gen()))
+                Fault::new(
+                    random_regular_cell(rng, &org),
+                    FaultKind::StuckAt(rng.gen()),
+                )
             }),
         ),
         (
@@ -158,7 +161,9 @@ pub fn measure<R: Rng + ?Sized>(
             Box::new(move |rng: &mut R| {
                 Fault::new(
                     random_regular_cell(rng, &org),
-                    FaultKind::Retention { leaks_to: rng.gen() },
+                    FaultKind::Retention {
+                        leaks_to: rng.gen(),
+                    },
                 )
             }),
         ),
@@ -194,13 +199,12 @@ fn random_regular_cell<R: Rng + ?Sized>(rng: &mut R, org: &ArrayOrg) -> usize {
     org.cell_at(row, col, bit)
 }
 
-fn coupling_pair<R: Rng + ?Sized>(
-    rng: &mut R,
-    org: &ArrayOrg,
-    intra_word: bool,
-) -> (usize, usize) {
+fn coupling_pair<R: Rng + ?Sized>(rng: &mut R, org: &ArrayOrg, intra_word: bool) -> (usize, usize) {
     let regular = org.rows() * org.bpc() * org.bpw();
-    assert!(regular > 1, "coupling faults need at least two regular cells");
+    assert!(
+        regular > 1,
+        "coupling faults need at least two regular cells"
+    );
     if intra_word && org.bpw() > 1 {
         let row = rng.gen_range(0..org.rows());
         let col = rng.gen_range(0..org.bpc());
@@ -224,7 +228,10 @@ fn coupling_pair<R: Rng + ?Sized>(
         // every array with at least two cells.
         let victim = rng.gen_range(0..regular);
         let aggressor = (victim + rng.gen_range(1..regular)) % regular;
-        (regular_cell_at(org, victim), regular_cell_at(org, aggressor))
+        (
+            regular_cell_at(org, victim),
+            regular_cell_at(org, aggressor),
+        )
     }
 }
 
@@ -295,7 +302,10 @@ mod tests {
         let s = single.class(FaultClass::CfSt).unwrap().fraction();
         let j = johnson.class(FaultClass::CfSt).unwrap().fraction();
         assert_eq!(j, 1.0, "johnson CFst coverage");
-        assert!(s < 0.9, "single-background CFst coverage suspiciously high: {s}");
+        assert!(
+            s < 0.9,
+            "single-background CFst coverage suspiciously high: {s}"
+        );
         assert!(j > s);
         // Stuck-at coverage is unaffected by the background schedule.
         assert_eq!(single.class(FaultClass::Saf).unwrap().fraction(), 1.0);

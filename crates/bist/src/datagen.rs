@@ -101,7 +101,10 @@ impl JohnsonCounter {
 /// assert_eq!(bgs.last().unwrap().to_u64(), 0xFF);
 /// ```
 pub fn backgrounds(bpw: usize) -> Vec<Word> {
-    assert!((1..=Word::MAX_BITS).contains(&bpw), "word width out of range");
+    assert!(
+        (1..=Word::MAX_BITS).contains(&bpw),
+        "word width out of range"
+    );
     let mut out = vec![Word::zeros(bpw)];
     for run in 1..=(bpw / 2) {
         out.push(Word::background(bpw, run, false));
@@ -150,9 +153,7 @@ mod tests {
             // A Johnson state is a cyclic run of ones: s and its
             // complement within 4 bits are both "contiguous" patterns.
             let bits: Vec<bool> = (0..4).map(|i| (s >> i) & 1 == 1).collect();
-            let transitions = (0..4)
-                .filter(|&i| bits[i] != bits[(i + 1) % 4])
-                .count();
+            let transitions = (0..4).filter(|&i| bits[i] != bits[(i + 1) % 4]).count();
             assert!(transitions <= 2, "state {s:04b} is not a ring run");
             j.step();
         }

@@ -540,9 +540,18 @@ mod tests {
             m.org().cell_at(0, 0, 0),
             FaultKind::StuckAt(true),
         ));
-        let out = run_march(&march::ifa9(), &mut m, &MarchConfig::default(), Some(&SwapMap));
+        let out = run_march(
+            &march::ifa9(),
+            &mut m,
+            &MarchConfig::default(),
+            Some(&SwapMap),
+        );
         assert!(out.detected());
-        assert_eq!(out.faulty_rows(), vec![1], "fault shows up at logical row 1");
+        assert_eq!(
+            out.faulty_rows(),
+            vec![1],
+            "fault shows up at logical row 1"
+        );
     }
 
     #[test]
@@ -628,7 +637,10 @@ mod tests {
     #[test]
     fn diagnose_never_stops_early_and_matches_run_march() {
         let mut m = ram(0);
-        m.inject(Fault::new(m.org().cell_at(0, 0, 0), FaultKind::StuckAt(true)));
+        m.inject(Fault::new(
+            m.org().cell_at(0, 0, 0),
+            FaultKind::StuckAt(true),
+        ));
         m.inject(Fault::new(
             m.org().cell_at(10, 1, 2),
             FaultKind::StuckAt(false),
@@ -641,7 +653,10 @@ mod tests {
         // stream equals run_march's fail stream.
         let rebuild = || {
             let mut m = ram(0);
-            m.inject(Fault::new(m.org().cell_at(0, 0, 0), FaultKind::StuckAt(true)));
+            m.inject(Fault::new(
+                m.org().cell_at(0, 0, 0),
+                FaultKind::StuckAt(true),
+            ));
             m.inject(Fault::new(
                 m.org().cell_at(10, 1, 2),
                 FaultKind::StuckAt(false),
@@ -782,10 +797,7 @@ mod proptests {
         let mut rng = StdRng::seed_from_u64(0xE61_0003);
         for case in 0..CASES {
             let element = arb_element(&mut rng);
-            let test = MarchTest::new(
-                "det",
-                vec![MarchElement::either(&[MarchOp::W0]), element],
-            );
+            let test = MarchTest::new("det", vec![MarchElement::either(&[MarchOp::W0]), element]);
             let org = ArrayOrg::new(64, 8, 4, 0).unwrap();
             let run = |seed_cell: usize| {
                 let mut ram = SramModel::new(org);
@@ -804,11 +816,10 @@ mod proptests {
             // A cell stuck at 0 AND its word-mate stuck at 1 guarantee a
             // mismatch on every read of that word, whatever the data.
             let test = arb_march(&mut rng);
-            let has_read = test
-                .elements()
-                .iter()
-                .any(|e| matches!(e, MarchElement::Sweep { ops, .. }
-                    if ops.iter().any(|o| o.is_read())));
+            let has_read = test.elements().iter().any(|e| {
+                matches!(e, MarchElement::Sweep { ops, .. }
+                    if ops.iter().any(|o| o.is_read()))
+            });
             if !has_read {
                 continue; // the seeded analogue of prop_assume!
             }

@@ -493,7 +493,10 @@ mod tests {
         let o = org();
         let faults = vec![
             (0, vec![(o.cell_at(3, 1, 2), true)]),
-            (9, vec![(o.cell_at(10, 0, 0), false), (o.cell_at(12, 3, 7), true)]),
+            (
+                9,
+                vec![(o.cell_at(10, 0, 0), false), (o.cell_at(12, 3, 7), true)],
+            ),
             (63, vec![(o.cell_at(3, 1, 2), false)]),
         ];
         let (packed, scalars) = paired_setup(&faults);
@@ -542,12 +545,7 @@ mod tests {
         let (mut packed, _) = paired_setup(&[]);
         let before = packed.clone();
         let active = (1 << 5) | (1 << 6);
-        let _ = run_transparent_lanes(
-            &march::ifa9(),
-            &mut packed,
-            &LaneRowMap::identity(),
-            active,
-        );
+        let _ = run_transparent_lanes(&march::ifa9(), &mut packed, &LaneRowMap::identity(), active);
         for addr in 0..before.org().words() {
             let (r, c) = before.org().split(addr);
             for lane in [0, 4, 7, 63] {
@@ -574,8 +572,8 @@ mod tests {
         }
         let o = org();
         let spare = o.rows(); // first spare row
-        // Lanes 2 and 40 divert row 1 to the spare; a fault sits in the
-        // spare, so exactly those lanes must report logical row 1.
+                              // Lanes 2 and 40 divert row 1 to the spare; a fault sits in the
+                              // spare, so exactly those lanes must report logical row 1.
         let faults = vec![
             (2, vec![(o.cell_at(spare, 0, 0), true)]),
             (40, vec![(o.cell_at(spare, 0, 0), true)]),

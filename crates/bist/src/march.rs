@@ -150,7 +150,10 @@ impl MarchTest {
     ///
     /// Panics if `elements` is empty or any sweep has no operations.
     pub fn new(name: impl Into<String>, elements: Vec<MarchElement>) -> Self {
-        assert!(!elements.is_empty(), "march test needs at least one element");
+        assert!(
+            !elements.is_empty(),
+            "march test needs at least one element"
+        );
         for e in &elements {
             if let MarchElement::Sweep { ops, .. } = e {
                 assert!(!ops.is_empty(), "march element needs at least one op");

@@ -220,9 +220,7 @@ fn execute_test_phase(
                     for op in ops {
                         match op {
                             MarchOp::W0 => ram.write_word_at(prow, col, initial[addr].clone()),
-                            MarchOp::W1 => {
-                                ram.write_word_at(prow, col, !initial[addr].clone())
-                            }
+                            MarchOp::W1 => ram.write_word_at(prow, col, !initial[addr].clone()),
                             MarchOp::R0 | MarchOp::R1 => {
                                 let got = ram.read_word_at(prow, col);
                                 on_read(addr, got);
@@ -422,10 +420,7 @@ mod tests {
         let org = ArrayOrg::new(64, 8, 4, 0).unwrap();
         let mut ram = SramModel::new(org);
         ram.inject(Fault::new(org.cell_at(2, 0, 0), FaultKind::StuckAt(true)));
-        let blind = MarchTest::new(
-            "blind",
-            vec![MarchElement::up(&[MarchOp::R0])],
-        );
+        let blind = MarchTest::new("blind", vec![MarchElement::up(&[MarchOp::R0])]);
         let outcome = run_transparent(&blind, &mut ram, None);
         assert!(
             !outcome.detected(),
@@ -440,7 +435,10 @@ mod tests {
     fn restore_element_logic() {
         assert!(last_write_is_inverse(&MarchTest::new(
             "t",
-            vec![MarchElement::up(&[MarchOp::W1]), MarchElement::up(&[MarchOp::R1])],
+            vec![
+                MarchElement::up(&[MarchOp::W1]),
+                MarchElement::up(&[MarchOp::R1])
+            ],
         )));
         assert!(!last_write_is_inverse(&march::march_c_minus()));
         assert!(last_write_is_inverse(&march::ifa9()));
@@ -576,7 +574,11 @@ mod tests {
                 .collect();
             for test in march::library() {
                 let outcome = run_transparent(&test, &mut ram, None);
-                assert!(!outcome.detected(), "case {case} {}: false alarm", test.name());
+                assert!(
+                    !outcome.detected(),
+                    "case {case} {}: false alarm",
+                    test.name()
+                );
                 for (addr, expect) in contents.iter().enumerate() {
                     assert_eq!(
                         &ram.read_word(addr),
@@ -645,10 +647,7 @@ mod tests {
         let org = ArrayOrg::new(128, 8, 4, 1).unwrap();
         let mut ram = SramModel::new(org);
         // Fault in physical row 32 (where logical 0 diverts).
-        ram.inject(Fault::new(
-            org.cell_at(32, 0, 0),
-            FaultKind::TransitionUp,
-        ));
+        ram.inject(Fault::new(org.cell_at(32, 0, 0), FaultKind::TransitionUp));
         let diag = run_transparent_diagnose(&march::ifa9(), &mut ram, Some(&Offset));
         assert_eq!(
             diag.faulty_rows,

@@ -191,7 +191,11 @@ impl ControlProgram {
             |state: usize, addr_tc: Tri, bg_last: Tri, ctrl: ControlWord, next: usize| {
                 let mut term = Vec::with_capacity(inputs);
                 for b in 0..sbits {
-                    term.push(if (state >> b) & 1 == 1 { Tri::One } else { Tri::Zero });
+                    term.push(if (state >> b) & 1 == 1 {
+                        Tri::One
+                    } else {
+                        Tri::Zero
+                    });
                 }
                 term.push(addr_tc);
                 term.push(bg_last);
@@ -767,7 +771,11 @@ impl<'a> ControllerSim<'a> {
             }
 
             // Sequencing.
-            let addr_tc = if ctrl.count_down { addr == 0 } else { addr == words - 1 };
+            let addr_tc = if ctrl.count_down {
+                addr == 0
+            } else {
+                addr == words - 1
+            };
             let bg_last = bg_idx + 1 >= self.backgrounds.len();
             let next = match mi.next {
                 Next::Step(n) => n,

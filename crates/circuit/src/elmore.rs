@@ -114,7 +114,12 @@ impl RcTree {
     /// Builds a uniform distributed wire of `segments` Π-segments with
     /// total resistance `r_total` and capacitance `c_total`, returning
     /// `(tree, far_end_index)`. `load_cap` is lumped at the far end.
-    pub fn uniform_wire(segments: usize, r_total: f64, c_total: f64, load_cap: f64) -> (RcTree, usize) {
+    pub fn uniform_wire(
+        segments: usize,
+        r_total: f64,
+        c_total: f64,
+        load_cap: f64,
+    ) -> (RcTree, usize) {
         assert!(segments > 0, "need at least one segment");
         let mut tree = RcTree::new(0.0);
         let rs = r_total / segments as f64;
@@ -208,7 +213,10 @@ mod tests {
             let load = rng.gen_range(0.0f64..1e-11);
             let d0 = wire_delay(r, c, load);
             let d1 = wire_delay(r, c, load + 1e-12);
-            assert!(d1 > d0, "case {case}: r={r:e} c={c:e} load={load:e}: {d1:e} !> {d0:e}");
+            assert!(
+                d1 > d0,
+                "case {case}: r={r:e} c={c:e} load={load:e}: {d1:e} !> {d0:e}"
+            );
         }
     }
 

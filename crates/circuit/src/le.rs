@@ -179,11 +179,7 @@ mod tests {
     fn tau_is_tens_of_picoseconds_for_builtin_processes() {
         for p in Process::builtin() {
             let t = tau(p.devices(), p.gate_length_m());
-            assert!(
-                (1e-12..200e-12).contains(&t),
-                "{}: tau = {t:e}",
-                p.name()
-            );
+            assert!((1e-12..200e-12).contains(&t), "{}: tau = {t:e}", p.name());
         }
         // Finer process has smaller tau.
         let t05 = tau(Process::cda05().devices(), Process::cda05().gate_length_m());

@@ -192,13 +192,19 @@ impl Netlist {
 
     /// Adds a piecewise-linear voltage source.
     pub fn vpwl(&mut self, a: NodeId, b: NodeId, waveform: Vec<(f64, f64)>) -> usize {
-        assert!(!waveform.is_empty(), "waveform must have at least one point");
+        assert!(
+            !waveform.is_empty(),
+            "waveform must have at least one point"
+        );
         self.push(DeviceKind::Vsource { a, b, waveform })
     }
 
     /// Adds a piecewise-linear current source from `a` to `b`.
     pub fn ipwl(&mut self, a: NodeId, b: NodeId, waveform: Vec<(f64, f64)>) -> usize {
-        assert!(!waveform.is_empty(), "waveform must have at least one point");
+        assert!(
+            !waveform.is_empty(),
+            "waveform must have at least one point"
+        );
         self.push(DeviceKind::Isource { a, b, waveform })
     }
 

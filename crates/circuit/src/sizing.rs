@@ -47,7 +47,10 @@ impl std::fmt::Display for SizingError {
             SizingError::MissingEdge { edge } => {
                 write!(f, "sizing measurement saw no {edge} edge")
             }
-            SizingError::MaxIterations { iterations, mismatch } => write!(
+            SizingError::MaxIterations {
+                iterations,
+                mismatch,
+            } => write!(
                 f,
                 "sizing did not balance after {iterations} iterations \
                  (mismatch {:.1}%)",
@@ -159,7 +162,10 @@ pub fn balance_inverter_by_simulation(
             });
         }
         if iterations >= MAX_SIZING_ITERS {
-            return Err(SizingError::MaxIterations { iterations, mismatch });
+            return Err(SizingError::MaxIterations {
+                iterations,
+                mismatch,
+            });
         }
         iterations += 1;
         if g > 0.0 {
@@ -269,15 +275,21 @@ fn extract_edges(
     let in_rise = result
         .crossing_time(a, half, true, 0.0)
         .ok_or(SizingError::MissingEdge { edge: "input rise" })?;
-    let out_fall = result
-        .crossing_time(y, half, false, in_rise)
-        .ok_or(SizingError::MissingEdge { edge: "output fall" })?;
+    let out_fall =
+        result
+            .crossing_time(y, half, false, in_rise)
+            .ok_or(SizingError::MissingEdge {
+                edge: "output fall",
+            })?;
     let in_fall = result
         .crossing_time(a, half, false, 5.0e-9)
         .ok_or(SizingError::MissingEdge { edge: "input fall" })?;
-    let out_rise = result
-        .crossing_time(y, half, true, in_fall)
-        .ok_or(SizingError::MissingEdge { edge: "output rise" })?;
+    let out_rise =
+        result
+            .crossing_time(y, half, true, in_fall)
+            .ok_or(SizingError::MissingEdge {
+                edge: "output rise",
+            })?;
     Ok((out_fall - in_rise, out_rise - in_fall))
 }
 
@@ -354,8 +366,14 @@ mod tests {
         // of its own discretization error on these ~100 ps delays, so
         // the drivers agree to 3% on deltas (absolute crossing times
         // agree far tighter — see tests/adaptive_equivalence.rs).
-        assert!((tf_a - tf_f).abs() / tf_f < 0.03, "fall {tf_a:e} vs {tf_f:e}");
-        assert!((tr_a - tr_f).abs() / tr_f < 0.03, "rise {tr_a:e} vs {tr_f:e}");
+        assert!(
+            (tf_a - tf_f).abs() / tf_f < 0.03,
+            "fall {tf_a:e} vs {tf_f:e}"
+        );
+        assert!(
+            (tr_a - tr_f).abs() / tr_f < 0.03,
+            "rise {tr_a:e} vs {tr_f:e}"
+        );
     }
 
     #[test]
@@ -363,7 +381,9 @@ mod tests {
         let e: SizingError = SimError::NoConvergence { time: 1e-9 }.into();
         assert!(e.to_string().contains("sizing simulation failed"));
         assert!(std::error::Error::source(&e).is_some());
-        let e = SizingError::MissingEdge { edge: "output rise" };
+        let e = SizingError::MissingEdge {
+            edge: "output rise",
+        };
         assert!(e.to_string().contains("output rise"));
         let e = SizingError::MaxIterations {
             iterations: 24,

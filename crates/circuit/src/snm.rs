@@ -335,7 +335,11 @@ mod tests {
             "hold SNM {:.3} V implausible",
             m.hold_snm
         );
-        assert!(m.read_snm > 0.1, "cell must be read-stable: {:.3}", m.read_snm);
+        assert!(
+            m.read_snm > 0.1,
+            "cell must be read-stable: {:.3}",
+            m.read_snm
+        );
         assert!(
             m.read_snm < m.hold_snm,
             "read SNM must be the smaller margin"
@@ -375,8 +379,18 @@ mod tests {
             let golden = analyze(d, &g);
             let inv = [InverterVar::nominal(d, &g); 2];
             let paired = analyze_pair(d.vdd, &inv);
-            assert_eq!(golden.hold_snm.to_bits(), paired.hold_snm.to_bits(), "{}", p.name());
-            assert_eq!(golden.read_snm.to_bits(), paired.read_snm.to_bits(), "{}", p.name());
+            assert_eq!(
+                golden.hold_snm.to_bits(),
+                paired.hold_snm.to_bits(),
+                "{}",
+                p.name()
+            );
+            assert_eq!(
+                golden.read_snm.to_bits(),
+                paired.read_snm.to_bits(),
+                "{}",
+                p.name()
+            );
         }
     }
 

@@ -59,7 +59,10 @@ impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SimError::SingularMatrix { time } => {
-                write!(f, "singular MNA matrix at t = {time:.3e} s (floating node?)")
+                write!(
+                    f,
+                    "singular MNA matrix at t = {time:.3e} s (floating node?)"
+                )
             }
             SimError::NoConvergence { time } => {
                 write!(f, "newton iteration did not converge at t = {time:.3e} s")
@@ -155,10 +158,7 @@ impl TranResult {
 
     /// Voltage of `node` at the final timepoint.
     pub fn final_voltage(&self, node: NodeId) -> f64 {
-        self.volts
-            .last()
-            .map(|v| v[node.index()])
-            .unwrap_or(0.0)
+        self.volts.last().map(|v| v[node.index()]).unwrap_or(0.0)
     }
 
     /// Linearly interpolated voltage of `node` at time `t`.
@@ -408,8 +408,15 @@ impl<'a> TransientSim<'a> {
         // history the fixed-step driver uses for its first point.
         let mut v_prev = vec![0.0; self.n_nodes + 1];
         let mut iv_prev = vec![0.0; self.n_vsrc];
-        let (x0, iv0) =
-            self.newton_solve(&st, &mut lu, 0.0, opts.dt_min, &v_prev, &iv_prev, &mut stats)?;
+        let (x0, iv0) = self.newton_solve(
+            &st,
+            &mut lu,
+            0.0,
+            opts.dt_min,
+            &v_prev,
+            &iv_prev,
+            &mut stats,
+        )?;
         times.push(0.0);
         volts.push(x0.clone());
         stats.steps_accepted += 1;
@@ -525,7 +532,11 @@ impl<'a> TransientSim<'a> {
                         farads: *farads,
                     });
                 }
-                DeviceKind::Isource { a: p, b: q, waveform } => {
+                DeviceKind::Isource {
+                    a: p,
+                    b: q,
+                    waveform,
+                } => {
                     breakpoints.extend(waveform.iter().map(|&(t, _)| t));
                     isrcs.push(SrcStamp {
                         pi: idx(*p),
@@ -533,7 +544,11 @@ impl<'a> TransientSim<'a> {
                         waveform,
                     });
                 }
-                DeviceKind::Vsource { a: p, b: q, waveform } => {
+                DeviceKind::Vsource {
+                    a: p,
+                    b: q,
+                    waveform,
+                } => {
                     breakpoints.extend(waveform.iter().map(|&(t, _)| t));
                     let row = vsrc_row;
                     vsrc_row += 1;
@@ -652,7 +667,14 @@ impl<'a> TransientSim<'a> {
         }
         for ms in &st.mos {
             let i0 = device::mos_id_dvt(
-                self.dev, ms.mos_type, x[ms.d], x[ms.g], x[ms.s], ms.w, ms.l, ms.dvt,
+                self.dev,
+                ms.mos_type,
+                x[ms.d],
+                x[ms.g],
+                x[ms.s],
+                ms.w,
+                ms.l,
+                ms.dvt,
             );
             if let Some(di) = ms.di {
                 f[di] += i0;
@@ -671,7 +693,14 @@ impl<'a> TransientSim<'a> {
         j.copy_from_slice(m);
         for ms in &st.mos {
             let (_, gd, gg, gs) = device::mos_linearized_dvt(
-                self.dev, ms.mos_type, x[ms.d], x[ms.g], x[ms.s], ms.w, ms.l, ms.dvt,
+                self.dev,
+                ms.mos_type,
+                x[ms.d],
+                x[ms.g],
+                x[ms.s],
+                ms.w,
+                ms.l,
+                ms.dvt,
             );
             if let Some(di) = ms.di {
                 j[di * n + di] += gd;
@@ -773,13 +802,7 @@ impl<'a> TransientSim<'a> {
     /// Assembles the linearized MNA system `A·x = rhs` around the current
     /// Newton iterate `x` (node voltages, ground included at index 0)
     /// with backward-Euler companions from `v_prev`. Reference-path only.
-    fn assemble(
-        &self,
-        t: f64,
-        dt: f64,
-        x: &[f64],
-        v_prev: &[f64],
-    ) -> (Vec<Vec<f64>>, Vec<f64>) {
+    fn assemble(&self, t: f64, dt: f64, x: &[f64], v_prev: &[f64]) -> (Vec<Vec<f64>>, Vec<f64>) {
         let n = self.n_nodes + self.n_vsrc;
         let mut a = vec![vec![0.0; n]; n];
         let mut rhs = vec![0.0; n];
@@ -829,7 +852,11 @@ impl<'a> TransientSim<'a> {
                         rhs[j] -= g * vprev;
                     }
                 }
-                DeviceKind::Isource { a: p, b: q, waveform } => {
+                DeviceKind::Isource {
+                    a: p,
+                    b: q,
+                    waveform,
+                } => {
                     let i = Netlist::pwl_at(waveform, t);
                     if let Some(ip) = idx(*p) {
                         rhs[ip] -= i;
@@ -838,7 +865,11 @@ impl<'a> TransientSim<'a> {
                         rhs[iq] += i;
                     }
                 }
-                DeviceKind::Vsource { a: p, b: q, waveform } => {
+                DeviceKind::Vsource {
+                    a: p,
+                    b: q,
+                    waveform,
+                } => {
                     let v = Netlist::pwl_at(waveform, t);
                     let row = vsrc_row;
                     vsrc_row += 1;
@@ -1118,7 +1149,10 @@ mod tests {
         let r = sim.run(10e-6, 1e-8).unwrap();
         let v_tau = r.voltage_at(out, 1e-6);
         let expect = 1.0 - (-1.0f64).exp();
-        assert!((v_tau - expect).abs() < 0.02, "v(tau) = {v_tau}, expect {expect}");
+        assert!(
+            (v_tau - expect).abs() < 0.02,
+            "v(tau) = {v_tau}, expect {expect}"
+        );
         // After 10 time constants the capacitor is within 1e-4 of the rail.
         assert!((r.final_voltage(out) - 1.0).abs() < 1e-3);
     }
@@ -1137,7 +1171,10 @@ mod tests {
         let (r, stats) = sim.run_adaptive_with_stats(10e-6, &opts).unwrap();
         let v_tau = r.voltage_at(out, 1e-6);
         let expect = 1.0 - (-1.0f64).exp();
-        assert!((v_tau - expect).abs() < 0.02, "v(tau) = {v_tau}, expect {expect}");
+        assert!(
+            (v_tau - expect).abs() < 0.02,
+            "v(tau) = {v_tau}, expect {expect}"
+        );
         assert!((r.final_voltage(out) - 1.0).abs() < 1e-3);
         // The fixed-step run above takes 1000 steps; adaptive needs far
         // fewer and reuses its factorization heavily.
@@ -1218,7 +1255,10 @@ mod tests {
         nl.resistor(a, m, 1000.0);
         nl.resistor(m, Netlist::ground(), 1000.0);
         let d = dev();
-        let r = TransientSim::new(&nl, &d).unwrap().run(1e-9, 1e-10).unwrap();
+        let r = TransientSim::new(&nl, &d)
+            .unwrap()
+            .run(1e-9, 1e-10)
+            .unwrap();
         assert!((r.final_voltage(m) - 1.0).abs() < 1e-6);
     }
 
@@ -1238,7 +1278,10 @@ mod tests {
         nl.mos(MosType::Pmos, y, a, vdd, 3e-6, 0.7e-6);
         nl.mos(MosType::Nmos, y, a, Netlist::ground(), 1e-6, 0.7e-6);
         nl.capacitor(y, Netlist::ground(), 20e-15);
-        let r = TransientSim::new(&nl, &d).unwrap().run(5e-9, 5e-12).unwrap();
+        let r = TransientSim::new(&nl, &d)
+            .unwrap()
+            .run(5e-9, 5e-12)
+            .unwrap();
         // Before the edge the output is high; after, low.
         assert!(r.voltage_at(y, 1.9e-9) > 0.95 * d.vdd);
         assert!(r.final_voltage(y) < 0.05 * d.vdd);
@@ -1255,7 +1298,10 @@ mod tests {
         nl.ipwl(Netlist::ground(), out, vec![(0.0, 1e-3)]);
         nl.capacitor(out, Netlist::ground(), 1e-12);
         let d = dev();
-        let r = TransientSim::new(&nl, &d).unwrap().run(1e-9, 1e-12).unwrap();
+        let r = TransientSim::new(&nl, &d)
+            .unwrap()
+            .run(1e-9, 1e-12)
+            .unwrap();
         assert!((r.final_voltage(out) - 1.0).abs() < 0.01);
     }
 

@@ -135,7 +135,12 @@ impl VariationModel {
     /// fractional width variations, `z[12]` the shared gate-length
     /// variation. Widths and length are floored at 10% of nominal so a
     /// pathological shifted sample cannot produce a nonphysical device.
-    pub fn realize(&self, dev: &DeviceParams, geom: &CellGeometry, z: &[f64; VAR_DIM]) -> VariedCell {
+    pub fn realize(
+        &self,
+        dev: &DeviceParams,
+        geom: &CellGeometry,
+        z: &[f64; VAR_DIM],
+    ) -> VariedCell {
         let d = self.corner.apply(dev);
         let nominal_w = [
             geom.w_pulldown,
@@ -350,8 +355,18 @@ mod tests {
             assert_eq!(cell.dev.kp_n.to_bits(), d.kp_n.to_bits());
             let golden = snm::analyze(d, &g);
             let varied = cell.margins();
-            assert_eq!(golden.hold_snm.to_bits(), varied.hold_snm.to_bits(), "{}", p.name());
-            assert_eq!(golden.read_snm.to_bits(), varied.read_snm.to_bits(), "{}", p.name());
+            assert_eq!(
+                golden.hold_snm.to_bits(),
+                varied.hold_snm.to_bits(),
+                "{}",
+                p.name()
+            );
+            assert_eq!(
+                golden.read_snm.to_bits(),
+                varied.read_snm.to_bits(),
+                "{}",
+                p.name()
+            );
         }
     }
 

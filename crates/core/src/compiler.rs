@@ -105,8 +105,8 @@ impl Areas {
     /// Controller (TRPLA) area as a fraction of the storage array area
     /// (paper §VI: "less than 0.1% for a 16-kbyte RAM").
     pub fn controller_fraction_of_array(&self) -> f64 {
-        let array = self.report.area_of("array_regular_rows")
-            + self.report.area_of("array_spare_rows");
+        let array =
+            self.report.area_of("array_regular_rows") + self.report.area_of("array_spare_rows");
         if array == 0 {
             0.0
         } else {
@@ -246,8 +246,8 @@ impl CompiledRam {
             bbox.height().max(1)
         );
         let palette = [
-            "#b0c4de", "#ffd9a0", "#c1e1c1", "#f4b6c2", "#d7bde2", "#aed6f1", "#f9e79f",
-            "#a3e4d7", "#f5cba7", "#d5dbdb", "#fadbd8", "#d4efdf",
+            "#b0c4de", "#ffd9a0", "#c1e1c1", "#f4b6c2", "#d7bde2", "#aed6f1", "#f9e79f", "#a3e4d7",
+            "#f5cba7", "#d5dbdb", "#fadbd8", "#d4efdf",
         ];
         for (i, m) in self.floorplan.placement.placed().iter().enumerate() {
             let b = m.bbox();

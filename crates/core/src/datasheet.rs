@@ -13,7 +13,9 @@ use bisram_circuit::campath::{self, TlbTiming};
 use bisram_circuit::elmore;
 use bisram_circuit::le::{self, GateType, Path};
 use bisram_circuit::snm::{self, CellGeometry, NoiseMargins};
-use bisram_field::{censored_mttf, simulate_fleet, ChipRepairReport, DegradationState, FieldConfig};
+use bisram_field::{
+    censored_mttf, simulate_fleet, ChipRepairReport, DegradationState, FieldConfig,
+};
 use bisram_layout::leaf;
 use bisram_tech::{DeviceParams, Process};
 use bisram_yield::reliability::ReliabilityModel;
@@ -161,7 +163,11 @@ impl std::fmt::Display for ChipSheet {
         } else {
             format!("{}", self.budget_units)
         };
-        writeln!(f, "  budget spent  : {:8}  of {budget} cell units", self.spent_units)?;
+        writeln!(
+            f,
+            "  budget spent  : {:8}  of {budget} cell units",
+            self.spent_units
+        )?;
         writeln!(f, "  spare area    : {:10.6} mm2", self.spare_area_mm2)?;
         Ok(())
     }
@@ -227,8 +233,7 @@ impl Datasheet {
         let wl_len = cols * leaf::SRAM_W as f64 * lambda_m;
         let wire_w = 3.0 * lambda_m;
         let r_wl = dev.rsh_metal * wl_len / wire_w;
-        let c_wl = dev.cw_metal * wl_len
-            + cols * 2.0 * dev.c_gate(4.0 * lambda_m, lgate); // two access gates per cell
+        let c_wl = dev.cw_metal * wl_len + cols * 2.0 * dev.c_gate(4.0 * lambda_m, lgate); // two access gates per cell
         let drv_w = 8.0 * lambda_m * params.gate_size() as f64;
         let r_drv = dev.r_eff_n(drv_w, lgate);
         let t_wl = r_drv * c_wl + elmore::wire_delay(r_wl, c_wl, 0.0);
@@ -348,7 +353,11 @@ impl std::fmt::Display for Datasheet {
             f,
             "TLB delay     : {:8.2} ns ({})",
             self.tlb.total_s() * 1e9,
-            if self.tlb_masked { "masked" } else { "NOT masked" }
+            if self.tlb_masked {
+                "masked"
+            } else {
+                "NOT masked"
+            }
         )?;
         writeln!(f, "active power  : {:8.2} mW", self.active_power_w * 1e3)?;
         writeln!(f, "standby power : {:8.4} mW", self.standby_power_w * 1e3)?;
@@ -428,8 +437,14 @@ mod tests {
 
     #[test]
     fn faster_process_is_faster() {
-        let p05 = RamParams::builder().process(Process::cda05()).build().unwrap();
-        let p07 = RamParams::builder().process(Process::cda07()).build().unwrap();
+        let p05 = RamParams::builder()
+            .process(Process::cda05())
+            .build()
+            .unwrap();
+        let p07 = RamParams::builder()
+            .process(Process::cda07())
+            .build()
+            .unwrap();
         let d05 = Datasheet::extrapolate(&p05);
         let d07 = Datasheet::extrapolate(&p07);
         assert!(d05.access_time_s < d07.access_time_s);
@@ -441,7 +456,13 @@ mod tests {
         assert!(d.active_power_w > 0.0);
         assert!(d.standby_power_w > 0.0 && d.standby_power_w < d.active_power_w);
         let s = d.to_string();
-        for key in ["read access", "TLB delay", "active power", "supply", "read SNM"] {
+        for key in [
+            "read access",
+            "TLB delay",
+            "active power",
+            "supply",
+            "read SNM",
+        ] {
             assert!(s.contains(key), "missing {key}");
         }
     }
@@ -451,7 +472,12 @@ mod tests {
         for p in bisram_tech::Process::builtin() {
             let params = RamParams::builder().process(p.clone()).build().unwrap();
             let d = Datasheet::extrapolate(&params);
-            assert!(d.read_snm_v > 0.1, "{}: read SNM {:.3}", p.name(), d.read_snm_v);
+            assert!(
+                d.read_snm_v > 0.1,
+                "{}: read SNM {:.3}",
+                p.name(),
+                d.read_snm_v
+            );
             assert!(d.hold_snm_v > d.read_snm_v);
         }
     }
@@ -460,7 +486,10 @@ mod tests {
     fn simulated_reliability_section_tracks_the_analytic_model() {
         let p = params(256, 4, 4);
         let d = Datasheet::extrapolate(&p);
-        assert!(d.reliability.is_none(), "plain sheet carries no lifetime section");
+        assert!(
+            d.reliability.is_none(),
+            "plain sheet carries no lifetime section"
+        );
         let d = d.with_simulated_reliability(&p, 1e-9, 24, 0xD5);
         let r = d.reliability.as_ref().expect("section filled in");
         assert!(r.analytic_mttf_hours > 0.0 && r.simulated_mttf_hours > 0.0);
@@ -503,7 +532,13 @@ mod tests {
             assert!(sheet.spare_area_mm2 > 0.0);
         }
         let s = sheet.to_string();
-        for key in ["chip repair", "macros", "spare rows", "budget spent", "spare area"] {
+        for key in [
+            "chip repair",
+            "macros",
+            "spare rows",
+            "budget spent",
+            "spare area",
+        ] {
             assert!(s.contains(key), "missing {key} in {s}");
         }
         // A scaled-down process prices the same spares smaller.
@@ -528,14 +563,27 @@ mod tests {
     }
 
     fn assert_margins_exact(process: &Process) {
-        let params = RamParams::builder().process(process.clone()).build().unwrap();
+        let params = RamParams::builder()
+            .process(process.clone())
+            .build()
+            .unwrap();
         let d = Datasheet::extrapolate(&params);
         let direct = snm::analyze(
             process.devices(),
             &CellGeometry::standard(process.gate_length_m()),
         );
-        assert_eq!(d.hold_snm_v.to_bits(), direct.hold_snm.to_bits(), "{}", process.name());
-        assert_eq!(d.read_snm_v.to_bits(), direct.read_snm.to_bits(), "{}", process.name());
+        assert_eq!(
+            d.hold_snm_v.to_bits(),
+            direct.hold_snm.to_bits(),
+            "{}",
+            process.name()
+        );
+        assert_eq!(
+            d.read_snm_v.to_bits(),
+            direct.read_snm.to_bits(),
+            "{}",
+            process.name()
+        );
     }
 
     #[test]
@@ -565,7 +613,10 @@ mod tests {
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("no panic"))
+                .collect()
         });
         for d in &sheets[1..] {
             assert_eq!(d.hold_snm_v.to_bits(), sheets[0].hold_snm_v.to_bits());
@@ -579,7 +630,10 @@ mod tests {
         for k in 0..MARGIN_MEMO_CAPACITY + 3 {
             let p = custom_process(&format!("memo-evict-{k}"), 0.64 + 0.005 * k as f64);
             assert_margins_exact(&p);
-            let held = MARGIN_MEMO.lock().unwrap_or_else(PoisonError::into_inner).len();
+            let held = MARGIN_MEMO
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .len();
             assert!(held <= MARGIN_MEMO_CAPACITY, "memo holds {held} entries");
         }
     }

@@ -43,10 +43,10 @@ mod params;
 pub mod pipeline;
 
 pub use compiler::{compile, compile_with, Areas, CompileError, CompiledRam};
-pub use pipeline::{CellCache, CompileOptions, KindStats, PipelineTrace, VerifyMode};
 pub use datasheet::{ChipSheet, Datasheet, ReliabilitySheet};
 pub use overhead::{overhead_row, OverheadRow};
 pub use params::{ParamError, RamParams, RamParamsBuilder};
+pub use pipeline::{CellCache, CompileOptions, KindStats, PipelineTrace, VerifyMode};
 
 // Re-export the workspace crates under one roof, matching how the tool
 // presents itself as a single entry point.

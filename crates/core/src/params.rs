@@ -35,7 +35,10 @@ impl std::fmt::Display for ParamError {
             ParamError::Organization(e) => write!(f, "array organization: {e}"),
             ParamError::Process(e) => write!(f, "process: {e}"),
             ParamError::GateSizeTooSmall { factor } => {
-                write!(f, "critical-gate size factor {factor} is below minimum size 1")
+                write!(
+                    f,
+                    "critical-gate size factor {factor} is below minimum size 1"
+                )
             }
             ParamError::StrapSpaceTooSmall { lambda } => write!(
                 f,
@@ -258,7 +261,10 @@ mod tests {
     #[test]
     fn organization_errors_propagate() {
         let e = RamParams::builder().bits_per_column(3).build().unwrap_err();
-        assert_eq!(e, ParamError::Organization(OrgError::BpcNotPowerOfTwo { bpc: 3 }));
+        assert_eq!(
+            e,
+            ParamError::Organization(OrgError::BpcNotPowerOfTwo { bpc: 3 })
+        );
         assert!(e.to_string().contains("power of two"));
     }
 
@@ -278,10 +284,7 @@ mod tests {
 
     #[test]
     fn many_spares_withdraw_the_masking_guarantee() {
-        let p = RamParams::builder()
-            .spare_rows(16)
-            .build()
-            .unwrap();
+        let p = RamParams::builder().spare_rows(16).build().unwrap();
         assert!(!p.delay_masking_guaranteed());
         // But it still compiles — the paper allows it.
         assert_eq!(p.org().spare_rows(), 16);

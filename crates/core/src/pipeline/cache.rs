@@ -109,9 +109,10 @@ impl CellCache {
         }
         let built: Arc<T> = Arc::new(build()?);
         let mut shard = self.shard(key).lock().unwrap_or_else(|e| e.into_inner());
-        shard
-            .map
-            .insert((kind, key), Arc::clone(&built) as Arc<dyn Any + Send + Sync>);
+        shard.map.insert(
+            (kind, key),
+            Arc::clone(&built) as Arc<dyn Any + Send + Sync>,
+        );
         Ok(built)
     }
 
@@ -255,7 +256,9 @@ mod tests {
         let cache = CellCache::new();
         let key = content_key(&"failing");
         let r: Result<Arc<u32>, _> = cache.get_or_build("test", key, || {
-            Err(CompileError::Params(crate::params::ParamError::GateSizeTooSmall { factor: 0 }))
+            Err(CompileError::Params(
+                crate::params::ParamError::GateSizeTooSmall { factor: 0 },
+            ))
         });
         assert!(r.is_err());
         assert!(cache.is_empty());
@@ -278,8 +281,16 @@ mod tests {
         assert_eq!(
             stats,
             vec![
-                KindStats { kind: "alpha", hits: 1, misses: 2 },
-                KindStats { kind: "beta", hits: 0, misses: 1 },
+                KindStats {
+                    kind: "alpha",
+                    hits: 1,
+                    misses: 2
+                },
+                KindStats {
+                    kind: "beta",
+                    hits: 0,
+                    misses: 1
+                },
             ]
         );
         let (h, m): (u64, u64) = stats

@@ -65,7 +65,12 @@ mod tests {
     fn control_plan_round_trips_and_is_parameter_independent() {
         let opts = CompileOptions::cold();
         let small = RamParams::builder().words(256).build().unwrap();
-        let large = RamParams::builder().words(16384).bits_per_word(64).bits_per_column(8).build().unwrap();
+        let large = RamParams::builder()
+            .words(16384)
+            .bits_per_word(64)
+            .bits_per_column(8)
+            .build()
+            .unwrap();
         let ctx_a = PipelineCtx::new(&small, &opts);
         let ctx_b = PipelineCtx::new(&large, &opts);
         assert_eq!(ControlStage.key(&ctx_a), ControlStage.key(&ctx_b));

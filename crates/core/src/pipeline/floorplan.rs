@@ -60,9 +60,10 @@ impl Stage for FloorplanStage {
         // violations can arise.
         let placement = place_with_margin(macros, 12 * lambda);
         let routes = route::route_placement(&placement, ctx.params.process());
-        let mut chip = placement
-            .clone()
-            .into_cell(&format!("bisram_{}x{}", org.words(), org.bpw()));
+        let mut chip =
+            placement
+                .clone()
+                .into_cell(&format!("bisram_{}x{}", org.words(), org.bpw()));
         for r in &routes {
             for (layer, rect) in &r.shapes {
                 chip.add_shape(*layer, *rect);

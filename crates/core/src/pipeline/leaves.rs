@@ -115,10 +115,8 @@ impl Stage for LeafStage {
 
     fn run(&self, ctx: &PipelineCtx<'_>) -> Result<LeafSet, CompileError> {
         let key = LeafKey::of(ctx);
-        let [
-            sram, rowdec, wldrv, prech, colmux, samp, wrdrv, dff, counter, xor2, cam_bit, pla_on,
-            pla_off, pullup,
-        ] = key.specs().map(|spec| ctx.leaf(key.process, spec));
+        let [sram, rowdec, wldrv, prech, colmux, samp, wrdrv, dff, counter, xor2, cam_bit, pla_on, pla_off, pullup] =
+            key.specs().map(|spec| ctx.leaf(key.process, spec));
         Ok(LeafSet {
             sram: sram?,
             rowdec: rowdec?,
@@ -156,14 +154,26 @@ mod tests {
     fn leaf_key_ignores_geometry_that_leaves_do_not_read() {
         let opts = CompileOptions::cold();
         // Same rows (words/bpc fixed), different word width: identical key.
-        let a = RamParams::builder().words(1024).bits_per_word(8).build().unwrap();
-        let b = RamParams::builder().words(1024).bits_per_word(32).build().unwrap();
+        let a = RamParams::builder()
+            .words(1024)
+            .bits_per_word(8)
+            .build()
+            .unwrap();
+        let b = RamParams::builder()
+            .words(1024)
+            .bits_per_word(32)
+            .build()
+            .unwrap();
         assert_eq!(
             LeafKey::of(&PipelineCtx::new(&a, &opts)),
             LeafKey::of(&PipelineCtx::new(&b, &opts))
         );
         // More words ⇒ more row bits ⇒ different key.
-        let c = RamParams::builder().words(4096).bits_per_word(8).build().unwrap();
+        let c = RamParams::builder()
+            .words(4096)
+            .bits_per_word(8)
+            .build()
+            .unwrap();
         assert_ne!(
             LeafKey::of(&PipelineCtx::new(&a, &opts)),
             LeafKey::of(&PipelineCtx::new(&c, &opts))
@@ -173,8 +183,16 @@ mod tests {
     #[test]
     fn shared_cache_reuses_individual_leaves_across_geometries() {
         let opts = CompileOptions::cold();
-        let a = RamParams::builder().words(1024).bits_per_word(8).build().unwrap();
-        let b = RamParams::builder().words(4096).bits_per_word(8).build().unwrap();
+        let a = RamParams::builder()
+            .words(1024)
+            .bits_per_word(8)
+            .build()
+            .unwrap();
+        let b = RamParams::builder()
+            .words(4096)
+            .bits_per_word(8)
+            .build()
+            .unwrap();
         let ctx_a = PipelineCtx::new(&a, &opts);
         let set_a = LeafStage.run(&ctx_a).unwrap();
         let misses_after_a = opts.cache().misses();

@@ -101,7 +101,14 @@ impl Stage for MacroStage {
         let cached = |key, build| cached(ctx, key, build);
         let tasks: Vec<Task<'_>> = vec![
             cached(
-                content_key(&("ram_array", fp, org.columns(), org.total_rows(), params.strap_every(), params.strap_lambda())),
+                content_key(&(
+                    "ram_array",
+                    fp,
+                    org.columns(),
+                    org.total_rows(),
+                    params.strap_every(),
+                    params.strap_lambda(),
+                )),
                 Box::new(move || {
                     let array_row = Arc::new(tile::tile_with_straps(
                         "array_row",
@@ -211,7 +218,9 @@ impl Stage for MacroStage {
             ),
             cached(
                 content_key(&("bisr_tlb", fp, org.spare_rows(), org.row_bits())),
-                Box::new(move || build_tlb_layout(leaves, org.spare_rows(), org.row_bits(), lambda)),
+                Box::new(move || {
+                    build_tlb_layout(leaves, org.spare_rows(), org.row_bits(), lambda)
+                }),
             ),
         ];
         let cells: Vec<Arc<Cell>> = bisram_exec::run_tasks(ctx.jobs(), tasks)
@@ -358,11 +367,21 @@ mod tests {
     #[test]
     fn word_width_change_reuses_row_pitched_macros() {
         let opts = CompileOptions::cold();
-        let a = RamParams::builder().words(1024).bits_per_word(8).bits_per_column(4).build().unwrap();
+        let a = RamParams::builder()
+            .words(1024)
+            .bits_per_word(8)
+            .bits_per_column(4)
+            .build()
+            .unwrap();
         // Same rows/columns? No: bpw changes columns (columns = bpw*bpc).
         // Row decoder column + wl driver column depend only on
         // total_rows, which is words/bpc here — keep words and bpc.
-        let b = RamParams::builder().words(1024).bits_per_word(16).bits_per_column(4).build().unwrap();
+        let b = RamParams::builder()
+            .words(1024)
+            .bits_per_word(16)
+            .bits_per_column(4)
+            .build()
+            .unwrap();
         let ctx_a = PipelineCtx::new(&a, &opts);
         let control = ctx_a.run_stage(&ControlStage).unwrap();
         let leaves = ctx_a.run_stage(&LeafStage).unwrap();
@@ -372,7 +391,13 @@ mod tests {
         let leaves = ctx_b.run_stage(&LeafStage).unwrap();
         let set_b = MacroStage { control, leaves }.run(&ctx_b).unwrap();
         // Shared: row-pitched and PLA macros. Distinct: word-pitched.
-        for name in ["row_decoders", "wl_drivers", "bist_trpla", "bist_streg", "bisr_tlb"] {
+        for name in [
+            "row_decoders",
+            "wl_drivers",
+            "bist_trpla",
+            "bist_streg",
+            "bisr_tlb",
+        ] {
             assert!(
                 Arc::ptr_eq(set_a.cell(name).unwrap(), set_b.cell(name).unwrap()),
                 "{name} should be cache-shared"

@@ -329,10 +329,7 @@ impl<'a> PipelineCtx<'a> {
     /// Consumes the context into the per-compile trace.
     pub fn finish(self) -> PipelineTrace {
         PipelineTrace {
-            stages: self
-                .traces
-                .into_inner()
-                .unwrap_or_else(|e| e.into_inner()),
+            stages: self.traces.into_inner().unwrap_or_else(|e| e.into_inner()),
             jobs: self.jobs,
         }
     }
@@ -413,11 +410,7 @@ mod tests {
         let cold = run_pipeline(&small(), &opts).unwrap();
         assert!(cold.trace.stages.iter().all(|s| !s.cached));
         let warm = run_pipeline(&small(), &opts).unwrap();
-        assert!(
-            warm.trace.stages.iter().all(|s| s.cached),
-            "{}",
-            warm.trace
-        );
+        assert!(warm.trace.stages.iter().all(|s| s.cached), "{}", warm.trace);
         assert_eq!(warm.trace.cache_misses(), 0);
         assert!(warm.trace.cache_hits() >= 5);
     }

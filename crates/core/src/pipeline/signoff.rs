@@ -68,10 +68,11 @@ impl CertificateStore for CacheCertStore<'_> {
         key: u64,
         build: &mut dyn FnMut() -> CellCertificate,
     ) -> Arc<CellCertificate> {
-        match self
-            .cache
-            .get_or_build("verify-cert", content_key(&(self.salt, key)), || Ok(build()))
-        {
+        match self.cache.get_or_build(
+            "verify-cert",
+            content_key(&(self.salt, key)),
+            || Ok(build()),
+        ) {
             Ok(cert) => cert,
             // The builder is infallible; this arm is unreachable but
             // keeps the adapter total without unwrapping.
@@ -313,7 +314,10 @@ mod tests {
         let first = cert_misses();
         let shared = signoff_of(&with_words(128), &opts);
         let second = cert_misses() - first;
-        assert!(second < first, "second point missed {second} times, first {first}");
+        assert!(
+            second < first,
+            "second point missed {second} times, first {first}"
+        );
         let cold = signoff_of(&with_words(128), &hier());
         let (shared, cold) = (shared.verify.expect("hier"), cold.verify.expect("hier"));
         assert!(cold.is_clean(), "{cold}");

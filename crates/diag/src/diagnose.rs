@@ -394,7 +394,10 @@ mod tests {
             rising: true,
         };
         let d = diagnose_single(kind, victim, march::ifa13());
-        assert!(d.faults.iter().any(|f| f.cell == victim && f.candidates == vec![kind]));
+        assert!(d
+            .faults
+            .iter()
+            .any(|f| f.cell == victim && f.candidates == vec![kind]));
         assert!(d.probe_writes > 0);
 
         // With probing disabled the suspect stays unexplained instead of
@@ -421,7 +424,11 @@ mod tests {
         m.write_word_at(row, col, w);
         m.inject(Fault::new(cell, FaultKind::TransitionDown));
         let d = diagnose(&mut m, &DiagnosisConfig::new(march::ifa13()));
-        let f = d.faults.iter().find(|f| f.cell == cell).expect("cell diagnosed");
+        let f = d
+            .faults
+            .iter()
+            .find(|f| f.cell == cell)
+            .expect("cell diagnosed");
         assert!(
             f.candidates.contains(&FaultKind::TransitionDown),
             "candidates: {:?}",

@@ -67,7 +67,8 @@ impl Prober<'_> {
 
     fn write(&mut self, ordinal: usize, w: Word) {
         self.writes += 1;
-        self.ram.write_word_at(ordinal / self.bpc(), ordinal % self.bpc(), w);
+        self.ram
+            .write_word_at(ordinal / self.bpc(), ordinal % self.bpc(), w);
     }
 
     fn read_victim(&mut self) -> bool {
@@ -164,11 +165,10 @@ impl Prober<'_> {
     /// Runs the four subtype stimuli against both victim sentinels and
     /// classifies the coupling. `None` when nothing fires consistently.
     fn classify(&mut self, agg_ord: usize, agg_bit: usize) -> Option<FaultKind> {
-        let aggressor = self.ram.org().cell_at(
-            agg_ord / self.bpc(),
-            agg_ord % self.bpc(),
-            agg_bit,
-        );
+        let aggressor = self
+            .ram
+            .org()
+            .cell_at(agg_ord / self.bpc(), agg_ord % self.bpc(), agg_bit);
         // observed[v][stimulus]: Some(value) when the victim deviated
         // from its sentinel v after the stimulus. Stimuli in order:
         // rising, same-state 1, falling, same-state 0.

@@ -141,8 +141,7 @@ impl Transport {
                 Err(e) => {
                     delivery.last_error = Some(e);
                     if attempt + 1 < attempts_allowed {
-                        delivery.backoff_cycles +=
-                            self.backoff_base_cycles << attempt.min(16);
+                        delivery.backoff_cycles += self.backoff_base_cycles << attempt.min(16);
                     }
                 }
             }
@@ -194,7 +193,9 @@ mod tests {
     use bisram_rng::SeedableRng;
 
     fn payload() -> Vec<u64> {
-        (0..64u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect()
+        (0..64u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect()
     }
 
     #[test]

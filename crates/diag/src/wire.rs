@@ -81,14 +81,26 @@ fn limbs(bpw: usize) -> usize {
 /// beyond any real march over any valid organization.
 pub fn encode_signature(sig: &MarchSignature) -> Vec<u64> {
     let mut out = Vec::with_capacity(2 + sig.records.len() * (1 + limbs(sig.bpw)) + 1);
-    assert!(sig.records.len() < (1 << 32), "record count overflows frame field");
+    assert!(
+        sig.records.len() < (1 << 32),
+        "record count overflows frame field"
+    );
     out.push(header_word(MAGIC, sig.records.len() as u32));
-    assert!(sig.words < (1 << 32) && sig.bpw < (1 << 16), "geometry overflows frame fields");
-    assert!(sig.backgrounds_run < (1 << 16), "background count overflows frame field");
+    assert!(
+        sig.words < (1 << 32) && sig.bpw < (1 << 16),
+        "geometry overflows frame fields"
+    );
+    assert!(
+        sig.backgrounds_run < (1 << 16),
+        "background count overflows frame field"
+    );
     out.push(((sig.words as u64) << 32) | ((sig.bpw as u64) << 16) | sig.backgrounds_run as u64);
     for r in &sig.records {
         assert!(
-            r.addr < (1 << 32) && r.element < (1 << 8) && r.op < (1 << 8) && r.background < (1 << 16),
+            r.addr < (1 << 32)
+                && r.element < (1 << 8)
+                && r.op < (1 << 8)
+                && r.background < (1 << 16),
             "record coordinates overflow frame fields"
         );
         out.push(
@@ -225,8 +237,14 @@ mod tests {
 
     fn faulty_signature() -> MarchSignature {
         let mut m = SramModel::new(org());
-        m.inject(Fault::new(m.org().cell_at(5, 2, 3), FaultKind::StuckAt(true)));
-        m.inject(Fault::new(m.org().cell_at(40, 0, 7), FaultKind::TransitionDown));
+        m.inject(Fault::new(
+            m.org().cell_at(5, 2, 3),
+            FaultKind::StuckAt(true),
+        ));
+        m.inject(Fault::new(
+            m.org().cell_at(40, 0, 7),
+            FaultKind::TransitionDown,
+        ));
         run_march_diagnose(&march::ifa13(), &mut m, &MarchConfig::default(), None)
     }
 
@@ -261,7 +279,10 @@ mod tests {
             bad[i] ^= 1 << 17;
             let err = decode_signature(&bad, &org(), "ifa13").unwrap_err();
             assert!(
-                matches!(err, WireError::BadChecksum | WireError::BadMagic | WireError::LengthMismatch { .. }),
+                matches!(
+                    err,
+                    WireError::BadChecksum | WireError::BadMagic | WireError::LengthMismatch { .. }
+                ),
                 "word {i}: {err:?}"
             );
             assert!(!frames_valid(&bad, &org()));
@@ -312,7 +333,10 @@ mod tests {
     fn wide_words_use_multiple_limbs() {
         let wide = ArrayOrg::new(256, 128, 2, 0).unwrap();
         let mut m = SramModel::new(wide);
-        m.inject(Fault::new(wide.cell_at(3, 1, 100), FaultKind::StuckAt(true)));
+        m.inject(Fault::new(
+            wide.cell_at(3, 1, 100),
+            FaultKind::StuckAt(true),
+        ));
         let sig = run_march_diagnose(&march::mats_plus(), &mut m, &MarchConfig::default(), None);
         assert!(sig.detected());
         let back = decode_signature(&encode_signature(&sig), &wide, &sig.test).unwrap();

@@ -366,7 +366,11 @@ fn diagnose_macro(spec: &MacroSpec, index: usize, cfg: &ChipConfig) -> MacroRun 
     let dcfg = DiagnosisConfig::new(cfg.test.clone());
     let diagnosis: MacroDiagnosis = diagnose_signature(decoded, &mut ram, &dcfg);
     report.suspects = diagnosis.faults.len();
-    report.classified = diagnosis.faults.iter().filter(|d| d.is_classified()).count();
+    report.classified = diagnosis
+        .faults
+        .iter()
+        .filter(|d| d.is_classified())
+        .count();
     report.exact = diagnosis.faults.iter().filter(|d| d.is_exact()).count();
     let faulty_rows = diagnosis.faulty_rows();
     report.rows_needed = faulty_rows.len();
@@ -465,7 +469,10 @@ mod tests {
         assert_eq!(report.macros.len(), 6);
         for m in &report.macros {
             assert!(
-                matches!(m.state, DegradationState::Healthy | DegradationState::DetectOnly),
+                matches!(
+                    m.state,
+                    DegradationState::Healthy | DegradationState::DetectOnly
+                ),
                 "{}: {:?}",
                 m.name,
                 m.state
@@ -605,8 +612,10 @@ mod tests {
         run.ram
             .inject(Fault::new(org.cell_at(3, 0, 0), FaultKind::StuckAt(true)));
         for spare in org.rows()..org.total_rows() {
-            run.ram
-                .inject(Fault::new(org.cell_at(spare, 0, 0), FaultKind::StuckAt(true)));
+            run.ram.inject(Fault::new(
+                org.cell_at(spare, 0, 0),
+                FaultKind::StuckAt(true),
+            ));
         }
         let sig = run_march_diagnose(&cfg.test, &mut run.ram, &MarchConfig::default(), None);
         run.faulty_rows = sig.faulty_rows();

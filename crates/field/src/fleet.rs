@@ -308,11 +308,11 @@ mod tests {
         let a = simulate_fleet(&cfg, 64, 0xF1EE7);
         let b = simulate_fleet(&cfg, 64, 0xF1EE7);
         assert_eq!(a, b);
-        assert!(a
-            .curve
-            .survival
-            .windows(2)
-            .all(|w| w[0] >= w[1]), "survival never increases: {:?}", a.curve.survival);
+        assert!(
+            a.curve.survival.windows(2).all(|w| w[0] >= w[1]),
+            "survival never increases: {:?}",
+            a.curve.survival
+        );
         assert!(a.curve.survival.iter().all(|r| (0.0..=1.0).contains(r)));
         assert_eq!(a.lifetimes, 64);
         assert!(a.deaths <= a.lifetimes);

@@ -176,8 +176,7 @@ pub fn simulate_lifetimes_lane(config: &FieldConfig, seeds: &[u64]) -> Vec<Lifet
                     }
                 }
                 if marchers != 0 {
-                    fatal |=
-                        march_row_lanes(&config.test, &mut sram, org.rows() + s, marchers);
+                    fatal |= march_row_lanes(&config.test, &mut sram, org.rows() + s, marchers);
                 }
             }
             for l in lanes(fatal) {
@@ -346,9 +345,7 @@ pub fn simulate_lifetimes_lane(config: &FieldConfig, seeds: &[u64]) -> Vec<Lifet
     // already sorted and deduplicated by construction).
     for (l, out) in outs.iter_mut().enumerate() {
         let bit = 1u64 << l;
-        out.unrepairable_rows = (0..org.rows())
-            .filter(|&r| unrep[r] & bit != 0)
-            .collect();
+        out.unrepairable_rows = (0..org.rows()).filter(|&r| unrep[r] & bit != 0).collect();
     }
     outs
 }

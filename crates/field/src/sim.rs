@@ -158,7 +158,10 @@ impl std::fmt::Display for DegradationState {
 pub enum FieldEvent {
     /// A latent defect struck `physical_row` at `time_hours` (logged
     /// when the covering session activates it).
-    FaultArrived { time_hours: f64, physical_row: usize },
+    FaultArrived {
+        time_hours: f64,
+        physical_row: usize,
+    },
     /// A signature alarm vanished on re-screen after `retries` re-runs.
     TransientDismissed { time_hours: f64, retries: u32 },
     /// Incremental repair mapped logical rows onto spares, copying
@@ -183,7 +186,10 @@ pub enum FieldEvent {
     /// Detect-only mode discovered additional unrepairable rows.
     UnrepairedFaultDetected { time_hours: f64, rows: Vec<usize> },
     /// Lifetime over.
-    Failed { time_hours: f64, cause: FailureCause },
+    Failed {
+        time_hours: f64,
+        cause: FailureCause,
+    },
 }
 
 /// Everything one simulated lifetime produced.
@@ -330,7 +336,9 @@ pub fn simulate_lifetime(config: &FieldConfig, seed: u64) -> LifetimeOutcome {
         // a bad one. Assigned spares hold live data and are covered by
         // the transparent screen below instead.
         if config.spare_policy == SparePolicy::Pessimistic {
-            let unused: Vec<usize> = (tlb.used()..tlb.spares()).map(|i| tlb.spare_row(i)).collect();
+            let unused: Vec<usize> = (tlb.used()..tlb.spares())
+                .map(|i| tlb.spare_row(i))
+                .collect();
             if !unused.is_empty() {
                 let failed = test_physical_rows(&config.test, &mut ram, &spare_march, &unused);
                 if !failed.is_empty() {
@@ -496,7 +504,8 @@ fn degrade(out: &mut LifetimeOutcome, t: f64, cause: FailureCause, rows: &[usize
         out.state = DegradationState::DetectOnly;
         out.failure_time_hours = Some(t);
         out.failure_cause = Some(cause);
-        out.events.push(FieldEvent::EnteredDetectOnly { time_hours: t });
+        out.events
+            .push(FieldEvent::EnteredDetectOnly { time_hours: t });
         out.events.push(FieldEvent::Failed {
             time_hours: t,
             cause,
@@ -610,10 +619,10 @@ mod tests {
         assert_eq!(out.state, DegradationState::DetectOnly);
         assert_eq!(out.failure_cause, Some(FailureCause::SparesExhausted));
         assert!(!out.unrepairable_rows.is_empty());
-        assert!(out
-            .unrepairable_rows
-            .windows(2)
-            .all(|w| w[0] < w[1]), "sorted, deduplicated map");
+        assert!(
+            out.unrepairable_rows.windows(2).all(|w| w[0] < w[1]),
+            "sorted, deduplicated map"
+        );
         // Detect-only sessions kept running after degradation.
         let death = out.failure_time_hours.expect("degraded");
         assert!(death < cfg.horizon_hours);

@@ -238,7 +238,14 @@ impl Rect {
 
 impl std::fmt::Display for Rect {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{},{} {}x{}]", self.x0, self.y0, self.width(), self.height())
+        write!(
+            f,
+            "[{},{} {}x{}]",
+            self.x0,
+            self.y0,
+            self.width(),
+            self.height()
+        )
     }
 }
 

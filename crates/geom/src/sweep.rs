@@ -200,7 +200,12 @@ mod tests {
     fn arb_rect(rng: &mut StdRng) -> Rect {
         let x = rng.gen_range(-500i64..500);
         let y = rng.gen_range(-500i64..500);
-        Rect::new(x, y, x + rng.gen_range(1i64..120), y + rng.gen_range(1i64..120))
+        Rect::new(
+            x,
+            y,
+            x + rng.gen_range(1i64..120),
+            y + rng.gen_range(1i64..120),
+        )
     }
 
     /// A stack of `n` abutting (or, with `gap`, separated) rows of one
@@ -209,7 +214,11 @@ mod tests {
         let (w, h) = (rng.gen_range(50i64..400), rng.gen_range(5i64..40));
         (0..n as Coord)
             .map(|k| {
-                let x = if jitter > 0 { rng.gen_range(-jitter..=jitter) } else { 0 };
+                let x = if jitter > 0 {
+                    rng.gen_range(-jitter..=jitter)
+                } else {
+                    0
+                };
                 Rect::new(x, k * (h + gap), x + w, k * (h + gap) + h)
             })
             .collect()
@@ -237,9 +246,11 @@ mod tests {
                     let gap = rng.gen_range(0i64..5);
                     let mut v = stack(&mut rng, 30, gap, 0);
                     v.extend((0..20).map(|_| arb_rect(&mut rng)));
-                    v.extend(stack(&mut rng, 10, 0, 0).into_iter().map(|r| {
-                        Rect::new(r.bottom(), r.left(), r.top(), r.right())
-                    }));
+                    v.extend(
+                        stack(&mut rng, 10, 0, 0)
+                            .into_iter()
+                            .map(|r| Rect::new(r.bottom(), r.left(), r.top(), r.right())),
+                    );
                     v
                 }
             };
@@ -286,9 +297,9 @@ mod tests {
     fn pair_sweep_zero_window_is_touching() {
         let rects = [
             Rect::new(0, 0, 10, 10),
-            Rect::new(10, 0, 20, 10),  // abuts 0
-            Rect::new(21, 0, 30, 10),  // 1 away from 1
-            Rect::new(5, 5, 15, 15),   // overlaps 0 and 1
+            Rect::new(10, 0, 20, 10), // abuts 0
+            Rect::new(21, 0, 30, 10), // 1 away from 1
+            Rect::new(5, 5, 15, 15),  // overlaps 0 and 1
         ];
         let mut pairs = Vec::new();
         pair_sweep(&rects, 0, |i, j| pairs.push((i, j)));
@@ -341,7 +352,12 @@ mod tests {
                 .map(|_| {
                     let x = rng.gen_range(-5i64..15);
                     let y = rng.gen_range(-5i64..15);
-                    Rect::new(x, y, x + rng.gen_range(5i64..25), y + rng.gen_range(5i64..25))
+                    Rect::new(
+                        x,
+                        y,
+                        x + rng.gen_range(5i64..25),
+                        y + rng.gen_range(5i64..25),
+                    )
                 })
                 .collect();
             let covered = covered_by(target, &covers);

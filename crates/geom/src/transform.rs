@@ -33,7 +33,10 @@ impl Transform {
 
     /// Creates a transform from an orientation and an offset.
     pub const fn new(orientation: Orientation, offset: Point) -> Self {
-        Transform { orientation, offset }
+        Transform {
+            orientation,
+            offset,
+        }
     }
 
     /// A pure translation.
@@ -51,7 +54,9 @@ impl Transform {
 
     /// Applies the transform to a rectangle.
     pub fn apply_rect(self, r: Rect) -> Rect {
-        self.orientation.apply_rect(r).translate(self.offset.to_vector())
+        self.orientation
+            .apply_rect(r)
+            .translate(self.offset.to_vector())
     }
 
     /// Applies the transform to a direction vector (ignores the offset).

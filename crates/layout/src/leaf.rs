@@ -103,7 +103,7 @@ pub fn sram6t(process: &Process) -> Cell {
     s.rect(Layer::Metal1, 0, 0, SRAM_W, 3); // GND rail
     s.rect(Layer::Metal1, 0, 22, SRAM_W, 25); // VDD rail
     s.rect(Layer::Nwell, 0, 21, SRAM_W, SRAM_H); // PMOS well
-    // NMOS half (pull-downs + access).
+                                                 // NMOS half (pull-downs + access).
     s.rect(Layer::Active, 3, 5, 11, 14);
     s.rect(Layer::Active, 15, 5, 23, 14);
     s.rect(Layer::Poly, 6, 3, 8, 16);
@@ -113,7 +113,7 @@ pub fn sram6t(process: &Process) -> Cell {
     s.rect(Layer::Contact, 20, 7, 22, 9);
     s.rect(Layer::Metal1, 3, 6, 7, 10); // storage node A strap
     s.rect(Layer::Metal1, 19, 6, 23, 10); // storage node B strap
-    // PMOS half (pull-ups on a shared diffusion strip).
+                                          // PMOS half (pull-ups on a shared diffusion strip).
     s.rect(Layer::Active, 6, 27, 20, 34);
     s.rect(Layer::Poly, 9, 25, 11, 36);
     s.rect(Layer::Poly, 15, 25, 17, 36);
@@ -123,11 +123,56 @@ pub fn sram6t(process: &Process) -> Cell {
     s.rect(Layer::Metal1, 6, 28, 10, 32);
     s.rect(Layer::Metal1, 16, 28, 20, 32);
 
-    s.port("bl", Layer::Metal2, Side::South, 2, 0, 5, 4, PortDirection::Inout);
-    s.port("blb", Layer::Metal2, Side::South, 21, 0, 24, 4, PortDirection::Inout);
-    s.port("wl", Layer::Poly, Side::West, 0, 18, 2, 20, PortDirection::Input);
-    s.port("vdd", Layer::Metal1, Side::East, 22, 22, 26, 25, PortDirection::Supply);
-    s.port("gnd", Layer::Metal1, Side::East, 22, 0, 26, 3, PortDirection::Supply);
+    s.port(
+        "bl",
+        Layer::Metal2,
+        Side::South,
+        2,
+        0,
+        5,
+        4,
+        PortDirection::Inout,
+    );
+    s.port(
+        "blb",
+        Layer::Metal2,
+        Side::South,
+        21,
+        0,
+        24,
+        4,
+        PortDirection::Inout,
+    );
+    s.port(
+        "wl",
+        Layer::Poly,
+        Side::West,
+        0,
+        18,
+        2,
+        20,
+        PortDirection::Input,
+    );
+    s.port(
+        "vdd",
+        Layer::Metal1,
+        Side::East,
+        22,
+        22,
+        26,
+        25,
+        PortDirection::Supply,
+    );
+    s.port(
+        "gnd",
+        Layer::Metal1,
+        Side::East,
+        22,
+        0,
+        26,
+        3,
+        PortDirection::Supply,
+    );
     s.finish()
 }
 
@@ -152,9 +197,36 @@ pub fn precharge(process: &Process, size_factor: Coord) -> Cell {
     s.rect(Layer::Poly, 0, 6, SRAM_W, 8); // shared precharge clock gate
     s.rect(Layer::Pselect, 0, 1, SRAM_W, 15);
 
-    s.port("bl", Layer::Metal2, Side::South, 2, 0, 5, 4, PortDirection::Inout);
-    s.port("blb", Layer::Metal2, Side::South, 21, 0, 24, 4, PortDirection::Inout);
-    s.port("prech", Layer::Poly, Side::West, 0, 6, 2, 8, PortDirection::Input);
+    s.port(
+        "bl",
+        Layer::Metal2,
+        Side::South,
+        2,
+        0,
+        5,
+        4,
+        PortDirection::Inout,
+    );
+    s.port(
+        "blb",
+        Layer::Metal2,
+        Side::South,
+        21,
+        0,
+        24,
+        4,
+        PortDirection::Inout,
+    );
+    s.port(
+        "prech",
+        Layer::Poly,
+        Side::West,
+        0,
+        6,
+        2,
+        8,
+        PortDirection::Input,
+    );
     s.finish()
 }
 
@@ -184,10 +256,46 @@ pub fn sense_amp(process: &Process) -> Cell {
     s.rect(Layer::Metal1, 4, 4, 8, 8);
     s.rect(Layer::Metal1, 18, 4, 22, 8);
 
-    s.port("bl", Layer::Metal2, Side::North, 2, h - 4, 5, h, PortDirection::Input);
-    s.port("blb", Layer::Metal2, Side::North, 21, h - 4, 24, h, PortDirection::Input);
-    s.port("dout", Layer::Metal1, Side::East, 22, 5, 26, 8, PortDirection::Output);
-    s.port("se", Layer::Poly, Side::West, 0, 19, 2, 21, PortDirection::Input);
+    s.port(
+        "bl",
+        Layer::Metal2,
+        Side::North,
+        2,
+        h - 4,
+        5,
+        h,
+        PortDirection::Input,
+    );
+    s.port(
+        "blb",
+        Layer::Metal2,
+        Side::North,
+        21,
+        h - 4,
+        24,
+        h,
+        PortDirection::Input,
+    );
+    s.port(
+        "dout",
+        Layer::Metal1,
+        Side::East,
+        22,
+        5,
+        26,
+        8,
+        PortDirection::Output,
+    );
+    s.port(
+        "se",
+        Layer::Poly,
+        Side::West,
+        0,
+        19,
+        2,
+        21,
+        PortDirection::Input,
+    );
     s.finish()
 }
 
@@ -205,10 +313,46 @@ pub fn write_driver(process: &Process) -> Cell {
     s.rect(Layer::Nselect, 3, 2, 23, 14);
     s.rect(Layer::Metal1, 6, 16, 20, 19); // data input strap
 
-    s.port("bl", Layer::Metal2, Side::North, 2, h - 4, 5, h, PortDirection::Output);
-    s.port("blb", Layer::Metal2, Side::North, 21, h - 4, 24, h, PortDirection::Output);
-    s.port("din", Layer::Metal1, Side::West, 0, 16, 4, 19, PortDirection::Input);
-    s.port("we", Layer::Poly, Side::West, 0, 2, 2, 4, PortDirection::Input);
+    s.port(
+        "bl",
+        Layer::Metal2,
+        Side::North,
+        2,
+        h - 4,
+        5,
+        h,
+        PortDirection::Output,
+    );
+    s.port(
+        "blb",
+        Layer::Metal2,
+        Side::North,
+        21,
+        h - 4,
+        24,
+        h,
+        PortDirection::Output,
+    );
+    s.port(
+        "din",
+        Layer::Metal1,
+        Side::West,
+        0,
+        16,
+        4,
+        19,
+        PortDirection::Input,
+    );
+    s.port(
+        "we",
+        Layer::Poly,
+        Side::West,
+        0,
+        2,
+        2,
+        4,
+        PortDirection::Input,
+    );
     s.finish()
 }
 
@@ -228,11 +372,56 @@ pub fn col_mux(process: &Process) -> Cell {
     s.rect(Layer::Poly, 0, 7, SRAM_W, 9); // shared select line through
     s.rect(Layer::Nselect, 4, 2, 22, 14);
 
-    s.port("bl", Layer::Metal2, Side::North, 2, h - 4, 5, h, PortDirection::Inout);
-    s.port("blb", Layer::Metal2, Side::North, 21, h - 4, 24, h, PortDirection::Inout);
-    s.port("dbus", Layer::Metal2, Side::South, 2, 0, 5, 4, PortDirection::Inout);
-    s.port("dbusb", Layer::Metal2, Side::South, 21, 0, 24, 4, PortDirection::Inout);
-    s.port("sel", Layer::Poly, Side::West, 0, 7, 2, 9, PortDirection::Input);
+    s.port(
+        "bl",
+        Layer::Metal2,
+        Side::North,
+        2,
+        h - 4,
+        5,
+        h,
+        PortDirection::Inout,
+    );
+    s.port(
+        "blb",
+        Layer::Metal2,
+        Side::North,
+        21,
+        h - 4,
+        24,
+        h,
+        PortDirection::Inout,
+    );
+    s.port(
+        "dbus",
+        Layer::Metal2,
+        Side::South,
+        2,
+        0,
+        5,
+        4,
+        PortDirection::Inout,
+    );
+    s.port(
+        "dbusb",
+        Layer::Metal2,
+        Side::South,
+        21,
+        0,
+        24,
+        4,
+        PortDirection::Inout,
+    );
+    s.port(
+        "sel",
+        Layer::Poly,
+        Side::West,
+        0,
+        7,
+        2,
+        9,
+        PortDirection::Input,
+    );
     s.finish()
 }
 
@@ -271,9 +460,36 @@ pub fn row_decoder(process: &Process, address_bits: u32) -> Cell {
             PortDirection::Input,
         );
     }
-    s.port("wl", Layer::Poly, Side::East, w - 2, 18, w, 20, PortDirection::Output);
-    s.port("vdd", Layer::Metal1, Side::West, 0, 22, 4, 25, PortDirection::Supply);
-    s.port("gnd", Layer::Metal1, Side::West, 0, 0, 4, 3, PortDirection::Supply);
+    s.port(
+        "wl",
+        Layer::Poly,
+        Side::East,
+        w - 2,
+        18,
+        w,
+        20,
+        PortDirection::Output,
+    );
+    s.port(
+        "vdd",
+        Layer::Metal1,
+        Side::West,
+        0,
+        22,
+        4,
+        25,
+        PortDirection::Supply,
+    );
+    s.port(
+        "gnd",
+        Layer::Metal1,
+        Side::West,
+        0,
+        0,
+        4,
+        3,
+        PortDirection::Supply,
+    );
     s.finish()
 }
 
@@ -297,8 +513,26 @@ pub fn wordline_driver(process: &Process, size_factor: Coord) -> Cell {
     s.rect(Layer::Poly, 9, 25, 11, 36);
     s.rect(Layer::Pselect, 4, 25, 16, 36);
 
-    s.port("wl_in", Layer::Poly, Side::West, 0, 18, 2, 20, PortDirection::Input);
-    s.port("wl", Layer::Poly, Side::East, w - 2, 18, w, 20, PortDirection::Output);
+    s.port(
+        "wl_in",
+        Layer::Poly,
+        Side::West,
+        0,
+        18,
+        2,
+        20,
+        PortDirection::Input,
+    );
+    s.port(
+        "wl",
+        Layer::Poly,
+        Side::East,
+        w - 2,
+        18,
+        w,
+        20,
+        PortDirection::Output,
+    );
     s.finish()
 }
 
@@ -324,11 +558,56 @@ pub fn cam_bit(process: &Process) -> Cell {
     s.rect(Layer::Poly, 27, 3, 29, 16);
     s.rect(Layer::Nselect, 3, 3, 34, 16);
 
-    s.port("search", Layer::Metal2, Side::South, 2, 0, 5, 4, PortDirection::Input);
-    s.port("searchb", Layer::Metal2, Side::South, 29, 0, 32, 4, PortDirection::Input);
-    s.port("match_w", Layer::Metal1, Side::West, 0, 28, 4, 31, PortDirection::Inout);
-    s.port("match_e", Layer::Metal1, Side::East, w - 4, 28, w, 31, PortDirection::Inout);
-    s.port("sel", Layer::Poly, Side::West, 0, 18, 2, 20, PortDirection::Input);
+    s.port(
+        "search",
+        Layer::Metal2,
+        Side::South,
+        2,
+        0,
+        5,
+        4,
+        PortDirection::Input,
+    );
+    s.port(
+        "searchb",
+        Layer::Metal2,
+        Side::South,
+        29,
+        0,
+        32,
+        4,
+        PortDirection::Input,
+    );
+    s.port(
+        "match_w",
+        Layer::Metal1,
+        Side::West,
+        0,
+        28,
+        4,
+        31,
+        PortDirection::Inout,
+    );
+    s.port(
+        "match_e",
+        Layer::Metal1,
+        Side::East,
+        w - 4,
+        28,
+        w,
+        31,
+        PortDirection::Inout,
+    );
+    s.port(
+        "sel",
+        Layer::Poly,
+        Side::West,
+        0,
+        18,
+        2,
+        20,
+        PortDirection::Input,
+    );
     s.finish()
 }
 
@@ -351,10 +630,46 @@ pub fn pla_crosspoint(process: &Process, programmed: bool) -> Cell {
         s.rect(Layer::Active, 0, 2, 8, 5);
         s.rect(Layer::Nselect, -2, 0, 10, 8);
     }
-    s.port("in_s", Layer::Poly, Side::South, 3, 0, 5, 2, PortDirection::Input);
-    s.port("in_n", Layer::Poly, Side::North, 3, 6, 5, 8, PortDirection::Input);
-    s.port("t_w", Layer::Metal1, Side::West, 0, 3, 2, 6, PortDirection::Inout);
-    s.port("t_e", Layer::Metal1, Side::East, 6, 3, 8, 6, PortDirection::Inout);
+    s.port(
+        "in_s",
+        Layer::Poly,
+        Side::South,
+        3,
+        0,
+        5,
+        2,
+        PortDirection::Input,
+    );
+    s.port(
+        "in_n",
+        Layer::Poly,
+        Side::North,
+        3,
+        6,
+        5,
+        8,
+        PortDirection::Input,
+    );
+    s.port(
+        "t_w",
+        Layer::Metal1,
+        Side::West,
+        0,
+        3,
+        2,
+        6,
+        PortDirection::Inout,
+    );
+    s.port(
+        "t_e",
+        Layer::Metal1,
+        Side::East,
+        6,
+        3,
+        8,
+        6,
+        PortDirection::Inout,
+    );
     s.finish()
 }
 
@@ -369,7 +684,16 @@ pub fn pla_pullup(process: &Process) -> Cell {
     s.rect(Layer::Contact, 15, 3, 17, 5);
     s.rect(Layer::Metal1, 14, 2, 18, 6); // drain pad onto the term line
     s.rect(Layer::Pselect, 7, 0, 20, 8);
-    s.port("t_w", Layer::Metal1, Side::West, 0, 3, 2, 6, PortDirection::Inout);
+    s.port(
+        "t_w",
+        Layer::Metal1,
+        Side::West,
+        0,
+        3,
+        2,
+        6,
+        PortDirection::Inout,
+    );
     s.finish()
 }
 
@@ -396,9 +720,36 @@ pub fn dff(process: &Process) -> Cell {
     // Clock line through on poly.
     s.rect(Layer::Poly, 0, 18, w, 20);
 
-    s.port("d", Layer::Metal1, Side::West, 0, 8, 4, 11, PortDirection::Input);
-    s.port("q", Layer::Metal1, Side::East, w - 4, 8, w, 11, PortDirection::Output);
-    s.port("clk", Layer::Poly, Side::West, 0, 18, 2, 20, PortDirection::Input);
+    s.port(
+        "d",
+        Layer::Metal1,
+        Side::West,
+        0,
+        8,
+        4,
+        11,
+        PortDirection::Input,
+    );
+    s.port(
+        "q",
+        Layer::Metal1,
+        Side::East,
+        w - 4,
+        8,
+        w,
+        11,
+        PortDirection::Output,
+    );
+    s.port(
+        "clk",
+        Layer::Poly,
+        Side::West,
+        0,
+        18,
+        2,
+        20,
+        PortDirection::Input,
+    );
     s.rect(Layer::Metal1, 0, 8, 6, 11);
     s.rect(Layer::Metal1, w - 6, 8, w, 11);
     s.finish()
@@ -427,10 +778,46 @@ pub fn counter_bit(process: &Process) -> Cell {
     s.rect(Layer::Poly, 0, 18, w, 20); // clock through
     s.rect(Layer::Metal1, 0, 28, w, 31); // carry chain through
 
-    s.port("carry_w", Layer::Metal1, Side::West, 0, 28, 4, 31, PortDirection::Input);
-    s.port("carry_e", Layer::Metal1, Side::East, w - 4, 28, w, 31, PortDirection::Output);
-    s.port("clk", Layer::Poly, Side::West, 0, 18, 2, 20, PortDirection::Input);
-    s.port("q", Layer::Metal1, Side::North, 10, 36, 14, SRAM_H, PortDirection::Output);
+    s.port(
+        "carry_w",
+        Layer::Metal1,
+        Side::West,
+        0,
+        28,
+        4,
+        31,
+        PortDirection::Input,
+    );
+    s.port(
+        "carry_e",
+        Layer::Metal1,
+        Side::East,
+        w - 4,
+        28,
+        w,
+        31,
+        PortDirection::Output,
+    );
+    s.port(
+        "clk",
+        Layer::Poly,
+        Side::West,
+        0,
+        18,
+        2,
+        20,
+        PortDirection::Input,
+    );
+    s.port(
+        "q",
+        Layer::Metal1,
+        Side::North,
+        10,
+        36,
+        14,
+        SRAM_H,
+        PortDirection::Output,
+    );
     s.rect(Layer::Metal1, 10, 34, 14, SRAM_H);
     s.finish()
 }
@@ -454,9 +841,36 @@ pub fn xor2(process: &Process) -> Cell {
     }
     s.rect(Layer::Nselect, 2, 3, 42, 16);
     s.rect(Layer::Pselect, 4, 25, 36, 36);
-    s.port("a", Layer::Metal1, Side::West, 0, 6, 4, 9, PortDirection::Input);
-    s.port("b", Layer::Metal1, Side::West, 0, 12, 4, 15, PortDirection::Input);
-    s.port("y", Layer::Metal1, Side::East, w - 4, 8, w, 11, PortDirection::Output);
+    s.port(
+        "a",
+        Layer::Metal1,
+        Side::West,
+        0,
+        6,
+        4,
+        9,
+        PortDirection::Input,
+    );
+    s.port(
+        "b",
+        Layer::Metal1,
+        Side::West,
+        0,
+        12,
+        4,
+        15,
+        PortDirection::Input,
+    );
+    s.port(
+        "y",
+        Layer::Metal1,
+        Side::East,
+        w - 4,
+        8,
+        w,
+        11,
+        PortDirection::Output,
+    );
     s.rect(Layer::Metal1, 0, 6, 4, 9);
     s.rect(Layer::Metal1, 0, 12, 4, 15);
     // Output strap inset from the east edge so a tiled neighbour's input
@@ -599,7 +1013,12 @@ mod tests {
     fn column_pitch_matched_cells_share_bitline_positions() {
         let p = Process::mosis06();
         let array = sram6t(&p);
-        for cell in [precharge(&p, 2), sense_amp(&p), write_driver(&p), col_mux(&p)] {
+        for cell in [
+            precharge(&p, 2),
+            sense_amp(&p),
+            write_driver(&p),
+            col_mux(&p),
+        ] {
             assert_eq!(
                 cell.bbox().width(),
                 array.bbox().width(),
@@ -636,7 +1055,10 @@ mod tests {
             (LeafSpec::Sram6t, sram6t(&p)),
             (LeafSpec::Precharge { size_factor: 3 }, precharge(&p, 3)),
             (LeafSpec::RowDecoder { address_bits: 7 }, row_decoder(&p, 7)),
-            (LeafSpec::PlaCrosspoint { programmed: true }, pla_crosspoint(&p, true)),
+            (
+                LeafSpec::PlaCrosspoint { programmed: true },
+                pla_crosspoint(&p, true),
+            ),
             (LeafSpec::Xor2, xor2(&p)),
         ] {
             let built = spec.build(&p);

@@ -371,9 +371,9 @@ pub fn stretch_to_width(cell: &Cell, new_width: Coord) -> Cell {
 mod tests {
     use super::*;
     use bisram_geom::{Port, PortDirection, Side};
-    use bisram_tech::Layer;
     use bisram_rng::rngs::StdRng;
     use bisram_rng::{Rng, SeedableRng};
+    use bisram_tech::Layer;
 
     fn block(name: &str, w: Coord, h: Coord, ports: &[(&str, Side)]) -> Macro {
         let mut c = Cell::new(name);

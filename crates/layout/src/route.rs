@@ -29,13 +29,23 @@ pub fn l_route(net: &str, a: Point, b: Point, width: Coord) -> Route {
     if a.x != b.x {
         shapes.push((
             Layer::Metal3,
-            Rect::new(a.x.min(b.x) - half, a.y - half, a.x.max(b.x) + half, a.y + half),
+            Rect::new(
+                a.x.min(b.x) - half,
+                a.y - half,
+                a.x.max(b.x) + half,
+                a.y + half,
+            ),
         ));
     }
     if a.y != b.y {
         shapes.push((
             Layer::Metal3,
-            Rect::new(b.x - half, a.y.min(b.y) - half, b.x + half, a.y.max(b.y) + half),
+            Rect::new(
+                b.x - half,
+                a.y.min(b.y) - half,
+                b.x + half,
+                a.y.max(b.y) + half,
+            ),
         ));
     }
     Route {

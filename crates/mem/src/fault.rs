@@ -163,7 +163,12 @@ impl std::fmt::Display for FaultKind {
             FaultKind::TransitionDown => write!(f, "TF<down>"),
             FaultKind::StuckOpen => write!(f, "SOF"),
             FaultKind::CouplingInv { aggressor, rising } => {
-                write!(f, "CFin<{}{}>", if *rising { "up" } else { "down" }, aggressor)
+                write!(
+                    f,
+                    "CFin<{}{}>",
+                    if *rising { "up" } else { "down" },
+                    aggressor
+                )
             }
             FaultKind::CouplingIdem {
                 aggressor,

@@ -153,7 +153,9 @@ fn random_kind<R: Rng + ?Sized>(
     // Explicit final category: retention must carry the remaining weight,
     // otherwise one of the guarded branches above already returned.
     assert!(mix.retention > 0.0, "draw escaped every weighted category");
-    FaultKind::Retention { leaks_to: rng.gen() }
+    FaultKind::Retention {
+        leaks_to: rng.gen(),
+    }
 }
 
 /// All-cells-stuck faults for one physical row — models a word-line /
@@ -161,9 +163,7 @@ fn random_kind<R: Rng + ?Sized>(
 pub fn row_failure(org: &ArrayOrg, row: usize, stuck: bool) -> Vec<Fault> {
     assert!(row < org.total_rows(), "row out of range");
     (0..org.bpc())
-        .flat_map(|col| {
-            (0..org.bpw()).map(move |bit| (col, bit))
-        })
+        .flat_map(|col| (0..org.bpw()).map(move |bit| (col, bit)))
         .map(|(col, bit)| Fault::new(org.cell_at(row, col, bit), FaultKind::StuckAt(stuck)))
         .collect()
 }
@@ -175,7 +175,12 @@ pub fn column_failure(org: &ArrayOrg, subarray_bit: usize, col: usize, stuck: bo
     assert!(subarray_bit < org.bpw(), "subarray out of range");
     assert!(col < org.bpc(), "column select out of range");
     (0..org.total_rows())
-        .map(|row| Fault::new(org.cell_at(row, col, subarray_bit), FaultKind::StuckAt(stuck)))
+        .map(|row| {
+            Fault::new(
+                org.cell_at(row, col, subarray_bit),
+                FaultKind::StuckAt(stuck),
+            )
+        })
         .collect()
 }
 
@@ -204,15 +209,16 @@ mod tests {
     fn stuck_at_only_mix_produces_only_saf() {
         let mut rng = StdRng::seed_from_u64(1);
         let faults = random_faults(&mut rng, &org(), 50, &FaultMix::stuck_at_only());
-        assert!(faults.iter().all(|f| f.kind.class() == crate::FaultClass::Saf));
+        assert!(faults
+            .iter()
+            .all(|f| f.kind.class() == crate::FaultClass::Saf));
     }
 
     #[test]
     fn default_mix_produces_every_class_eventually() {
         let mut rng = StdRng::seed_from_u64(42);
         let faults = random_faults(&mut rng, &org(), 500, &FaultMix::default());
-        let classes: std::collections::HashSet<_> =
-            faults.iter().map(|f| f.kind.class()).collect();
+        let classes: std::collections::HashSet<_> = faults.iter().map(|f| f.kind.class()).collect();
         for c in crate::FaultClass::ALL {
             assert!(classes.contains(&c), "missing class {c}");
         }
@@ -279,15 +285,33 @@ mod tests {
         use crate::FaultClass;
         let cases: [(FaultMix, &[FaultClass]); 3] = [
             (
-                FaultMix { stuck_at: 0.0, transition: 1.0, stuck_open: 0.0, coupling: 0.0, retention: 0.0 },
+                FaultMix {
+                    stuck_at: 0.0,
+                    transition: 1.0,
+                    stuck_open: 0.0,
+                    coupling: 0.0,
+                    retention: 0.0,
+                },
                 &[FaultClass::Tf],
             ),
             (
-                FaultMix { stuck_at: 0.0, transition: 0.0, stuck_open: 0.0, coupling: 1.0, retention: 0.0 },
+                FaultMix {
+                    stuck_at: 0.0,
+                    transition: 0.0,
+                    stuck_open: 0.0,
+                    coupling: 1.0,
+                    retention: 0.0,
+                },
                 &[FaultClass::CfIn, FaultClass::CfId, FaultClass::CfSt],
             ),
             (
-                FaultMix { stuck_at: 0.0, transition: 0.0, stuck_open: 0.0, coupling: 0.0, retention: 1.0 },
+                FaultMix {
+                    stuck_at: 0.0,
+                    transition: 0.0,
+                    stuck_open: 0.0,
+                    coupling: 0.0,
+                    retention: 1.0,
+                },
                 &[FaultClass::Drf],
             ),
         ];
@@ -305,8 +329,18 @@ mod tests {
 
     #[test]
     fn deterministic_under_fixed_seed() {
-        let a = random_faults(&mut StdRng::seed_from_u64(9), &org(), 20, &FaultMix::default());
-        let b = random_faults(&mut StdRng::seed_from_u64(9), &org(), 20, &FaultMix::default());
+        let a = random_faults(
+            &mut StdRng::seed_from_u64(9),
+            &org(),
+            20,
+            &FaultMix::default(),
+        );
+        let b = random_faults(
+            &mut StdRng::seed_from_u64(9),
+            &org(),
+            20,
+            &FaultMix::default(),
+        );
         assert_eq!(a, b);
     }
 }

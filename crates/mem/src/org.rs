@@ -42,7 +42,10 @@ impl std::fmt::Display for OrgError {
                 write!(f, "bits-per-column {bpc} is not a power of two")
             }
             OrgError::WordsNotMultipleOfBpc { words, bpc } => {
-                write!(f, "word count {words} is not a multiple of bits-per-column {bpc}")
+                write!(
+                    f,
+                    "word count {words} is not a multiple of bits-per-column {bpc}"
+                )
             }
             OrgError::BadWordWidth { bpw } => {
                 write!(f, "word width {bpw} outside the supported range 1..=256")
@@ -92,12 +95,7 @@ impl ArrayOrg {
     /// See [`OrgError`] — `bpc` must be a power of two (paper §II: "the
     /// value of bpc must be a power of 2"), `words` a multiple of `bpc`,
     /// `bpw` in 1..=256, and the derived row count a power of two.
-    pub fn new(
-        words: usize,
-        bpw: usize,
-        bpc: usize,
-        spare_rows: usize,
-    ) -> Result<Self, OrgError> {
+    pub fn new(words: usize, bpw: usize, bpc: usize, spare_rows: usize) -> Result<Self, OrgError> {
         if bpc == 0 || !bpc.is_power_of_two() {
             return Err(OrgError::BpcNotPowerOfTwo { bpc });
         }
@@ -347,12 +345,9 @@ mod tests {
             let bpc = 1usize << rng.gen_range(0u32..4);
             let spares = rng.gen_range(0usize..8);
             let words = (1usize << rows_log2) * bpc;
-            let ctx = format!(
-                "case {case}: words={words} bpw={bpw} bpc={bpc} spares={spares}"
-            );
-            let org = ArrayOrg::new(words, bpw, bpc, spares).unwrap_or_else(|e| {
-                panic!("{ctx}: rejected valid organisation: {e}")
-            });
+            let ctx = format!("case {case}: words={words} bpw={bpw} bpc={bpc} spares={spares}");
+            let org = ArrayOrg::new(words, bpw, bpc, spares)
+                .unwrap_or_else(|e| panic!("{ctx}: rejected valid organisation: {e}"));
             assert_eq!(org.rows() * org.bpc(), org.words(), "{ctx}");
             assert_eq!(org.cells(), org.words() * org.bpw(), "{ctx}");
             assert_eq!(

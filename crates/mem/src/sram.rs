@@ -112,7 +112,10 @@ impl SramModel {
     ///
     /// Panics if the victim or aggressor cell index is out of range.
     pub fn inject(&mut self, fault: Fault) {
-        assert!(fault.cell < self.org.total_cells(), "victim cell out of range");
+        assert!(
+            fault.cell < self.org.total_cells(),
+            "victim cell out of range"
+        );
         if let Some(a) = fault.kind.aggressor() {
             assert!(a < self.org.total_cells(), "aggressor cell out of range");
             self.by_aggressor
@@ -154,7 +157,10 @@ impl SramModel {
     /// contract as [`SramModel::inject`], checked eagerly so a bad arrival
     /// is caught where it is created, not at activation).
     pub fn stage_fault(&mut self, fault: Fault) {
-        assert!(fault.cell < self.org.total_cells(), "victim cell out of range");
+        assert!(
+            fault.cell < self.org.total_cells(),
+            "victim cell out of range"
+        );
         if let Some(a) = fault.kind.aggressor() {
             assert!(a < self.org.total_cells(), "aggressor cell out of range");
         }

@@ -48,7 +48,11 @@ impl Word {
     pub fn from_u64(value: u64, len: usize) -> Self {
         assert!(len > 0 && len <= 64, "from_u64 supports 1..=64 bits");
         let mut w = Word::zeros(len);
-        w.bits[0] = if len == 64 { value } else { value & ((1u64 << len) - 1) };
+        w.bits[0] = if len == 64 {
+            value
+        } else {
+            value & ((1u64 << len) - 1)
+        };
         w
     }
 
@@ -263,7 +267,11 @@ mod tests {
         for case in 0..512 {
             let v: u64 = rng.gen();
             let len = rng.gen_range(1usize..=64);
-            let masked = if len == 64 { v } else { v & ((1u64 << len) - 1) };
+            let masked = if len == 64 {
+                v
+            } else {
+                v & ((1u64 << len) - 1)
+            };
             assert_eq!(
                 Word::from_u64(v, len).to_u64(),
                 masked,

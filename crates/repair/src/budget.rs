@@ -203,7 +203,12 @@ pub fn allocate_exact(demands: &[MacroDemand], budget: u64) -> AllocationPlan {
 mod tests {
     use super::*;
 
-    fn demand(macro_index: usize, rows_needed: usize, row_cost: u64, max_rows: usize) -> MacroDemand {
+    fn demand(
+        macro_index: usize,
+        rows_needed: usize,
+        row_cost: u64,
+        max_rows: usize,
+    ) -> MacroDemand {
         MacroDemand {
             macro_index,
             rows_needed,
@@ -249,7 +254,13 @@ mod tests {
         let plan = allocate_greedy(&[demand(0, 2, 1, 2)], 0);
         assert_eq!(plan.rows_granted, 0);
         assert_eq!(plan.spent, 0);
-        assert_eq!(plan.grants, vec![Grant { macro_index: 0, rows: 0 }]);
+        assert_eq!(
+            plan.grants,
+            vec![Grant {
+                macro_index: 0,
+                rows: 0
+            }]
+        );
     }
 
     #[test]

@@ -131,8 +131,14 @@ mod tests {
     fn two_faults_in_one_subblock_are_repairable() {
         let mut m = ram();
         // Addresses 0 and 5 are in subblock 0.
-        m.inject(Fault::new(m.org().cell_at(0, 0, 0), FaultKind::StuckAt(true)));
-        m.inject(Fault::new(m.org().cell_at(1, 1, 2), FaultKind::StuckAt(true)));
+        m.inject(Fault::new(
+            m.org().cell_at(0, 0, 0),
+            FaultKind::StuckAt(true),
+        ));
+        m.inject(Fault::new(
+            m.org().cell_at(1, 1, 2),
+            FaultKind::StuckAt(true),
+        ));
         let r = evaluate(&mut m, &march::ifa9(), &MarchConfig::default(), &cfg());
         assert_eq!(r.faulty_addresses, 2);
         assert!(r.dead_subblocks.is_empty());

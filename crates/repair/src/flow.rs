@@ -12,8 +12,8 @@
 
 use crate::tlb::Tlb;
 use bisram_bist::engine::{run_march, MarchConfig};
-use bisram_bist::RowMap;
 use bisram_bist::march::{self, MarchTest};
+use bisram_bist::RowMap;
 use bisram_mem::SramModel;
 
 /// Configuration of a repair session.

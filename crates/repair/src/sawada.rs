@@ -88,8 +88,14 @@ mod tests {
     #[test]
     fn two_faults_defeat_the_single_register() {
         let mut m = ram();
-        m.inject(Fault::new(m.org().cell_at(1, 0, 0), FaultKind::StuckAt(true)));
-        m.inject(Fault::new(m.org().cell_at(30, 3, 5), FaultKind::StuckAt(false)));
+        m.inject(Fault::new(
+            m.org().cell_at(1, 0, 0),
+            FaultKind::StuckAt(true),
+        ));
+        m.inject(Fault::new(
+            m.org().cell_at(30, 3, 5),
+            FaultKind::StuckAt(false),
+        ));
         let r = evaluate(&mut m, &march::ifa9(), &MarchConfig::default());
         assert_eq!(r.faulty_addresses, 2);
         assert!(!r.repaired, "Sawada repairs only single address faults");

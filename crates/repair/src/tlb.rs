@@ -132,7 +132,9 @@ impl Tlb {
             });
         }
         if self.entries.len() >= self.spares {
-            return Err(TlbError::Exhausted { spares: self.spares });
+            return Err(TlbError::Exhausted {
+                spares: self.spares,
+            });
         }
         self.entries.push(row);
         Ok(self.entries.len() - 1)

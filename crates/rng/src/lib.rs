@@ -98,7 +98,10 @@ pub trait Rng: RngCore {
     ///
     /// Panics unless `0.0 <= p <= 1.0`.
     fn gen_bool(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "gen_bool probability {p} not in [0, 1]");
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "gen_bool probability {p} not in [0, 1]"
+        );
         sample::unit_f64(self) < p
     }
 }
@@ -136,9 +139,18 @@ mod tests {
 
     #[test]
     fn seeding_is_deterministic_and_seed_sensitive() {
-        let a: Vec<u64> = (0..8).map(|_| 0).scan(StdRng::seed_from_u64(9), |r, _| Some(r.next_u64())).collect();
-        let b: Vec<u64> = (0..8).map(|_| 0).scan(StdRng::seed_from_u64(9), |r, _| Some(r.next_u64())).collect();
-        let c: Vec<u64> = (0..8).map(|_| 0).scan(StdRng::seed_from_u64(10), |r, _| Some(r.next_u64())).collect();
+        let a: Vec<u64> = (0..8)
+            .map(|_| 0)
+            .scan(StdRng::seed_from_u64(9), |r, _| Some(r.next_u64()))
+            .collect();
+        let b: Vec<u64> = (0..8)
+            .map(|_| 0)
+            .scan(StdRng::seed_from_u64(9), |r, _| Some(r.next_u64()))
+            .collect();
+        let c: Vec<u64> = (0..8)
+            .map(|_| 0)
+            .scan(StdRng::seed_from_u64(10), |r, _| Some(r.next_u64()))
+            .collect();
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -189,7 +201,10 @@ mod tests {
             assert!(rng.gen_bool(1.0));
         }
         let heads = (0..4000).filter(|_| rng.gen_bool(0.5)).count();
-        assert!((1700..2300).contains(&heads), "fair coin came up {heads}/4000");
+        assert!(
+            (1700..2300).contains(&heads),
+            "fair coin came up {heads}/4000"
+        );
     }
 
     #[test]
@@ -210,7 +225,12 @@ mod tests {
     fn works_through_unsized_generic_bounds() {
         // The call pattern the workspace uses everywhere.
         fn draw<R: Rng + ?Sized>(rng: &mut R) -> (u64, usize, bool, f64) {
-            (rng.gen(), rng.gen_range(0..9), rng.gen_bool(0.25), rng.gen())
+            (
+                rng.gen(),
+                rng.gen_range(0..9),
+                rng.gen_bool(0.25),
+                rng.gen(),
+            )
         }
         let mut rng = StdRng::seed_from_u64(6);
         let a = draw(&mut rng);

@@ -113,11 +113,15 @@ impl SampleRange<f64> for Range<f64> {
     fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> f64 {
         assert!(
             self.start < self.end,
-            "cannot sample empty range {}..{}", self.start, self.end
+            "cannot sample empty range {}..{}",
+            self.start,
+            self.end
         );
         assert!(
             (self.end - self.start).is_finite(),
-            "cannot sample non-finite range {}..{}", self.start, self.end
+            "cannot sample non-finite range {}..{}",
+            self.start,
+            self.end
         );
         let v = self.start + (self.end - self.start) * unit_f64(rng);
         // Rounding can land exactly on the excluded endpoint; nudge back
@@ -134,11 +138,15 @@ impl SampleRange<f32> for Range<f32> {
     fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> f32 {
         assert!(
             self.start < self.end,
-            "cannot sample empty range {}..{}", self.start, self.end
+            "cannot sample empty range {}..{}",
+            self.start,
+            self.end
         );
         assert!(
             (self.end - self.start).is_finite(),
-            "cannot sample non-finite range {}..{}", self.start, self.end
+            "cannot sample non-finite range {}..{}",
+            self.start,
+            self.end
         );
         let v = self.start + (self.end - self.start) * unit_f32(rng);
         if v < self.end {

@@ -89,7 +89,10 @@ mod tests {
             }
         }
         for (i, &h) in hits.iter().enumerate() {
-            assert!((640..960).contains(&h), "element {i} sampled {h}/2000 (expect ~800)");
+            assert!(
+                (640..960).contains(&h),
+                "element {i} sampled {h}/2000 (expect ~800)"
+            );
         }
     }
 

@@ -48,7 +48,10 @@ impl Xoshiro256StarStar {
     ///
     /// Panics on the all-zero state, the one fixed point of the update.
     pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s.iter().any(|&w| w != 0), "xoshiro256** state must not be all zero");
+        assert!(
+            s.iter().any(|&w| w != 0),
+            "xoshiro256** state must not be all zero"
+        );
         Xoshiro256StarStar { s }
     }
 
@@ -101,7 +104,9 @@ impl SeedableRng for Xoshiro256StarStar {
         // all-zero expansion is practically impossible, but the
         // invariant is cheap to keep unconditional.
         if s.iter().all(|&w| w == 0) {
-            return Xoshiro256StarStar { s: [0x9E3779B97F4A7C15, 0, 0, 0] };
+            return Xoshiro256StarStar {
+                s: [0x9E3779B97F4A7C15, 0, 0, 0],
+            };
         }
         Xoshiro256StarStar { s }
     }

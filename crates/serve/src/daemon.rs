@@ -249,7 +249,10 @@ impl Daemon {
     #[cfg(test)]
     pub(crate) fn connection_threads(&self) -> (usize, usize) {
         let conns = self.conns.lock().unwrap_or_else(|e| e.into_inner());
-        (conns.len(), conns.iter().filter(|h| h.is_finished()).count())
+        (
+            conns.len(),
+            conns.iter().filter(|h| h.is_finished()).count(),
+        )
     }
 
     /// The service behind the daemon (counters, drain state).
@@ -356,8 +359,7 @@ fn handle_connection(service: &Service, mut conn: Conn, stop: &AtomicBool) {
             Ok(0) => return, // clean disconnect
             Ok(_) => {}
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 if stop.load(Ordering::Relaxed) || service.draining() {
                     return;

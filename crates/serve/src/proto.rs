@@ -68,8 +68,11 @@ impl RespFrame {
                 code,
                 retryable,
                 message,
-            } => format!("error code={code} retryable={}\n{message}", u8::from(*retryable))
-                .into_bytes(),
+            } => format!(
+                "error code={code} retryable={}\n{message}",
+                u8::from(*retryable)
+            )
+            .into_bytes(),
         }
     }
 
@@ -80,8 +83,8 @@ impl RespFrame {
     /// A message describing why the payload is not a valid response
     /// frame (non-UTF-8, unknown tag, malformed header fields).
     pub fn decode(payload: &[u8]) -> Result<RespFrame, String> {
-        let text = std::str::from_utf8(payload)
-            .map_err(|_| "response frame is not UTF-8".to_owned())?;
+        let text =
+            std::str::from_utf8(payload).map_err(|_| "response frame is not UTF-8".to_owned())?;
         let (header, body) = text
             .split_once('\n')
             .ok_or_else(|| "response frame has no header line".to_owned())?;
@@ -132,7 +135,9 @@ fn parse_flag(header: &str, key: &str) -> Result<bool, String> {
     match field(header, key)? {
         "0" => Ok(false),
         "1" => Ok(true),
-        other => Err(format!("header {header:?}: {key} must be 0|1, got {other:?}")),
+        other => Err(format!(
+            "header {header:?}: {key} must be 0|1, got {other:?}"
+        )),
     }
 }
 

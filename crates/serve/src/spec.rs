@@ -200,10 +200,9 @@ mod tests {
 
     #[test]
     fn parses_comments_blanks_quotes_and_axes() {
-        let spec = Spec::parse(
-            "# a sweep\n\nwords = 256, 1024  # two sizes\nprocess = \"CDA.7u3m1p\"\n",
-        )
-        .unwrap();
+        let spec =
+            Spec::parse("# a sweep\n\nwords = 256, 1024  # two sizes\nprocess = \"CDA.7u3m1p\"\n")
+                .unwrap();
         assert_eq!(spec.values("words").unwrap(), ["256", "1024"]);
         assert_eq!(spec.scalar("process").unwrap(), "CDA.7u3m1p");
         assert_eq!(spec.entries().len(), 2);
@@ -224,19 +223,31 @@ mod tests {
         );
         assert_eq!(
             Spec::parse("BAD = 1\n").unwrap_err(),
-            SpecError::BadKey { line: 1, key: "BAD".into() }
+            SpecError::BadKey {
+                line: 1,
+                key: "BAD".into()
+            }
         );
         assert_eq!(
             Spec::parse("a = 1,,2\n").unwrap_err(),
-            SpecError::EmptyValue { line: 1, key: "a".into() }
+            SpecError::EmptyValue {
+                line: 1,
+                key: "a".into()
+            }
         );
         assert_eq!(
             Spec::parse("a = 1\na = 2\n").unwrap_err(),
-            SpecError::DuplicateKey { line: 2, key: "a".into() }
+            SpecError::DuplicateKey {
+                line: 2,
+                key: "a".into()
+            }
         );
         assert_eq!(
             Spec::parse("a =\n").unwrap_err(),
-            SpecError::EmptyValue { line: 1, key: "a".into() }
+            SpecError::EmptyValue {
+                line: 1,
+                key: "a".into()
+            }
         );
     }
 

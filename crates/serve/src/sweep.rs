@@ -23,7 +23,15 @@ use crate::JobSpec;
 use bisram_exec::{resolve_jobs, run_tasks};
 
 /// Keys that may carry several values (sweep axes).
-const AXIS_KEYS: &[&str] = &["words", "bpw", "bpc", "spares", "process", "gate-size", "verify"];
+const AXIS_KEYS: &[&str] = &[
+    "words",
+    "bpw",
+    "bpc",
+    "spares",
+    "process",
+    "gate-size",
+    "verify",
+];
 /// Keys that must stay single-valued.
 const SCALAR_KEYS: &[&str] = &["defects", "lambda", "strap-every", "strap-lambda"];
 
@@ -90,8 +98,7 @@ impl SweepSpec {
                 text.push_str(&format!("{key} = {value}\n"));
             }
             let job = JobSpec::parse(&text).map_err(|e| {
-                let label: Vec<String> =
-                    point.iter().map(|(k, v)| format!("{k}={v}")).collect();
+                let label: Vec<String> = point.iter().map(|(k, v)| format!("{k}={v}")).collect();
                 format!("sweep point [{}]: {e}", label.join(" "))
             })?;
             if seen.insert(job.canonical()) {
@@ -300,7 +307,9 @@ mod tests {
         assert!(SweepSpec::parse("defects = 0.1, 0.2\n")
             .unwrap_err()
             .contains("one value"));
-        assert!(SweepSpec::parse("cif = 1\n").unwrap_err().contains("\"cif\""));
+        assert!(SweepSpec::parse("cif = 1\n")
+            .unwrap_err()
+            .contains("\"cif\""));
     }
 
     #[test]
@@ -332,14 +341,16 @@ mod tests {
     #[test]
     fn sweep_runs_in_process_and_reports() {
         let service = Service::cold();
-        let sweep = SweepSpec::parse(
-            "words = 64, 128\nbpw = 8\nbpc = 4\nspares = 2, 4\ndefects = 0.3\n",
-        )
-        .expect("parses");
-        let report =
-            run_sweep(&sweep, &SweepBackend::InProcess(&service), Some(2)).expect("runs");
+        let sweep =
+            SweepSpec::parse("words = 64, 128\nbpw = 8\nbpc = 4\nspares = 2, 4\ndefects = 0.3\n")
+                .expect("parses");
+        let report = run_sweep(&sweep, &SweepBackend::InProcess(&service), Some(2)).expect("runs");
         assert_eq!(report.points.len(), 4);
-        assert!(report.text.starts_with("sweep points: 4\n"), "{}", report.text);
+        assert!(
+            report.text.starts_with("sweep points: 4\n"),
+            "{}",
+            report.text
+        );
         assert!(report.text.contains("sweep frontier: "), "{}", report.text);
         assert!(report.points.iter().any(|p| p.pareto));
         // More spares always cost area; the smallest config must not be

@@ -238,8 +238,14 @@ fn cross_crate_roundtrip_diag_signature_through_serve_framing() {
     // A real march signature from an injected-fault run...
     let org = ArrayOrg::new(256, 8, 4, 4).expect("valid org");
     let mut m = SramModel::new(org);
-    m.inject(Fault::new(m.org().cell_at(5, 2, 3), FaultKind::StuckAt(true)));
-    m.inject(Fault::new(m.org().cell_at(40, 0, 7), FaultKind::TransitionDown));
+    m.inject(Fault::new(
+        m.org().cell_at(5, 2, 3),
+        FaultKind::StuckAt(true),
+    ));
+    m.inject(Fault::new(
+        m.org().cell_at(40, 0, 7),
+        FaultKind::TransitionDown,
+    ));
     let sig = run_march_diagnose(&march::ifa13(), &mut m, &MarchConfig::default(), None);
     assert!(sig.detected());
 

@@ -369,10 +369,7 @@ where
 {
     let report = check_report(rules, shapes);
     if !report.is_clean() {
-        let mut msg = format!(
-            "{context}: {} DRC violation(s):\n",
-            report.violations.len()
-        );
+        let mut msg = format!("{context}: {} DRC violation(s):\n", report.violations.len());
         for v in report.violations.iter().take(5) {
             msg.push_str(&format!("  - {v}\n"));
         }
@@ -485,7 +482,10 @@ mod tests {
     fn violation_display_is_informative() {
         let v = check(&rules(), vec![(Layer::Poly, Rect::new(0, 0, 100, 400))]);
         let s = v[0].to_string();
-        assert!(s.contains("poly") && s.contains("100") && s.contains("200"), "{s}");
+        assert!(
+            s.contains("poly") && s.contains("100") && s.contains("200"),
+            "{s}"
+        );
     }
 
     #[test]

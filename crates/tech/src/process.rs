@@ -226,7 +226,10 @@ mod tests {
 
     #[test]
     fn builtin_processes_match_paper() {
-        let names: Vec<_> = Process::builtin().iter().map(|p| p.name().to_owned()).collect();
+        let names: Vec<_> = Process::builtin()
+            .iter()
+            .map(|p| p.name().to_owned())
+            .collect();
         assert_eq!(names, ["CDA.5u3m1p", "mos.6u3m1pHP", "CDA.7u3m1p"]);
         for p in Process::builtin() {
             assert_eq!(p.metal_layers(), 3);

@@ -136,7 +136,10 @@ pub fn check_clipped(
 
 /// Runs the full eight-class check. Degenerate rectangles are ignored, as
 /// in the width/spacing checker.
-pub fn check(rules: &DesignRules, shapes: &[(Layer, Rect)]) -> Result<Vec<DrcViolation>, VerifyError> {
+pub fn check(
+    rules: &DesignRules,
+    shapes: &[(Layer, Rect)],
+) -> Result<Vec<DrcViolation>, VerifyError> {
     // Bucket by layer, preserving input order within each layer.
     let mut by_layer: Vec<Vec<Rect>> = vec![Vec::new(); Layer::ALL.len()];
     for &(layer, rect) in shapes {
@@ -207,7 +210,11 @@ pub fn check(rules: &DesignRules, shapes: &[(Layer, Rect)]) -> Result<Vec<DrcVio
     // union of its lower conductor(s) and, separately, its upper metal.
     let enc = rules.cut_enclosure();
     for (cut_layer, lowers, upper) in [
-        (Layer::Contact, &[Layer::Active, Layer::Poly][..], Layer::Metal1),
+        (
+            Layer::Contact,
+            &[Layer::Active, Layer::Poly][..],
+            Layer::Metal1,
+        ),
         (Layer::Via1, &[Layer::Metal1][..], Layer::Metal2),
         (Layer::Via2, &[Layer::Metal2][..], Layer::Metal3),
     ] {
@@ -423,7 +430,11 @@ mod tests {
         let mut shapes = clean_nmos();
         shapes[1].1 = Rect::new(600, 700, 800, 1600); // starts inside
         let v = check(&rules(), &shapes).expect("consistent input");
-        assert!(v.iter().any(|v| v.class == RuleClass::GateExtension && v.actual < 0), "{v:?}");
+        assert!(
+            v.iter()
+                .any(|v| v.class == RuleClass::GateExtension && v.actual < 0),
+            "{v:?}"
+        );
     }
 
     #[test]
@@ -448,7 +459,8 @@ mod tests {
         ];
         let v = check(&rules(), &shapes).expect("consistent input");
         assert!(
-            v.iter().any(|v| v.class == RuleClass::SdExtension && v.actual == 200),
+            v.iter()
+                .any(|v| v.class == RuleClass::SdExtension && v.actual == 200),
             "{v:?}"
         );
     }
@@ -506,7 +518,9 @@ mod tests {
             (Layer::Pselect, Rect::new(400, 2500, 2200, 3600)),
             (Layer::Nwell, Rect::new(0, 2100, 2600, 4000)),
         ];
-        assert!(check(&rules(), &shapes).expect("consistent input").is_empty());
+        assert!(check(&rules(), &shapes)
+            .expect("consistent input")
+            .is_empty());
 
         let mut bad = shapes.clone();
         bad[3].1 = Rect::new(100, 2100, 2600, 4000); // 5λ on the left
@@ -522,7 +536,9 @@ mod tests {
         // NMOS diffusion far from the well: no well enclosure demanded.
         let mut shapes = clean_nmos();
         shapes.push((Layer::Nwell, Rect::new(3000, 3000, 4500, 4500)));
-        assert!(check(&rules(), &shapes).expect("consistent input").is_empty());
+        assert!(check(&rules(), &shapes)
+            .expect("consistent input")
+            .is_empty());
     }
 
     #[test]
@@ -542,7 +558,9 @@ mod tests {
         // Split the implant across nselect and pselect halves.
         shapes[2].1 = Rect::new(100, 300, 700, 1600);
         shapes.push((Layer::Pselect, Rect::new(600, 300, 1300, 1600)));
-        assert!(check(&rules(), &shapes).expect("consistent input").is_empty());
+        assert!(check(&rules(), &shapes)
+            .expect("consistent input")
+            .is_empty());
     }
 
     #[test]
@@ -614,6 +632,9 @@ mod tests {
         shapes[1].1 = Rect::new(600, 400, 800, 1600);
         let v = check(&rules(), &shapes).expect("consistent input");
         let s = v[0].to_string();
-        assert!(s.contains("gate-extension") && s.contains("[600,400"), "{s}");
+        assert!(
+            s.contains("gate-extension") && s.contains("[600,400"),
+            "{s}"
+        );
     }
 }

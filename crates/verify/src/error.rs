@@ -45,10 +45,16 @@ impl std::fmt::Display for VerifyError {
                 write!(f, "no schematic registered for cell '{cell}'")
             }
             VerifyError::DegenerateGateOverlap { poly, active } => {
-                write!(f, "degenerate gate overlap between poly {poly} and active {active}")
+                write!(
+                    f,
+                    "degenerate gate overlap between poly {poly} and active {active}"
+                )
             }
             VerifyError::UnexpectedLayer { layer } => {
-                write!(f, "unexpected non-conductor layer {layer} in connectivity table")
+                write!(
+                    f,
+                    "unexpected non-conductor layer {layer} in connectivity table"
+                )
             }
         }
     }

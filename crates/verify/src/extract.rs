@@ -89,10 +89,15 @@ pub fn extract(shapes: &[(Layer, Rect)]) -> Result<Extracted, VerifyError> {
         while hit_cursor < hits.len() && hits[hit_cursor].active == ai {
             hit_cursor += 1;
         }
-        let crossings: Vec<&gates::GateHit> =
-            hits[start..hit_cursor].iter().filter(|h| h.crosses()).collect();
+        let crossings: Vec<&gates::GateHit> = hits[start..hit_cursor]
+            .iter()
+            .filter(|h| h.crosses())
+            .collect();
         if crossings.is_empty() {
-            pieces.push(DiffPiece { rect: a, active: ai });
+            pieces.push(DiffPiece {
+                rect: a,
+                active: ai,
+            });
             continue;
         }
         // Split along the dominant orientation (the generators never mix
@@ -166,10 +171,7 @@ pub fn extract(shapes: &[(Layer, Rect)]) -> Result<Extracted, VerifyError> {
             };
             devices.push(PendingDevice {
                 poly: pi,
-                sd: [
-                    left.unwrap_or(usize::MAX),
-                    right.unwrap_or(usize::MAX),
-                ],
+                sd: [left.unwrap_or(usize::MAX), right.unwrap_or(usize::MAX)],
                 channel,
                 w,
                 l,
@@ -187,8 +189,16 @@ pub fn extract(shapes: &[(Layer, Rect)]) -> Result<Extracted, VerifyError> {
                 poly: h.poly,
                 sd: [host, host],
                 channel: h.overlap,
-                w: if h.vertical() { h.overlap.height() } else { h.overlap.width() },
-                l: if h.vertical() { h.overlap.width() } else { h.overlap.height() },
+                w: if h.vertical() {
+                    h.overlap.height()
+                } else {
+                    h.overlap.width()
+                },
+                l: if h.vertical() {
+                    h.overlap.width()
+                } else {
+                    h.overlap.height()
+                },
             });
         }
     }
@@ -226,7 +236,11 @@ pub fn extract(shapes: &[(Layer, Rect)]) -> Result<Extracted, VerifyError> {
     // ---- Cut stitching (strict overlap only) ---------------------------
     let mut dangling_cuts = 0usize;
     for (cut_layer, lowers, upper) in [
-        (Layer::Contact, &[Layer::Active, Layer::Poly][..], Layer::Metal1),
+        (
+            Layer::Contact,
+            &[Layer::Active, Layer::Poly][..],
+            Layer::Metal1,
+        ),
         (Layer::Via1, &[Layer::Metal1][..], Layer::Metal2),
         (Layer::Via2, &[Layer::Metal2][..], Layer::Metal3),
     ] {
@@ -243,7 +257,11 @@ pub fn extract(shapes: &[(Layer, Rect)]) -> Result<Extracted, VerifyError> {
                 }
             });
         }
-        for &l in lowers.iter().filter(|&&l| l != Layer::Active).chain([&upper]) {
+        for &l in lowers
+            .iter()
+            .filter(|&&l| l != Layer::Active)
+            .chain([&upper])
+        {
             let base = layer_base(l)?;
             sweep::join_sweep(cuts, on(l), 0, |ci, ni| {
                 if cuts[ci].overlaps(on(l)[ni]) {
@@ -308,7 +326,11 @@ pub fn extract(shapes: &[(Layer, Rect)]) -> Result<Extracted, VerifyError> {
                 }
             });
             Device {
-                polarity: if pmos[di] { MosType::Pmos } else { MosType::Nmos },
+                polarity: if pmos[di] {
+                    MosType::Pmos
+                } else {
+                    MosType::Nmos
+                },
                 w: d.w,
                 l: d.l,
                 gate: node_net[poly_base + d.poly],
@@ -504,7 +526,10 @@ mod tests {
         }
         // The metal node shares its net with the contacted source piece.
         let metal = x.nodes.iter().find(|n| n.0 == Layer::Metal1).unwrap();
-        assert!(x.nodes.iter().any(|n| n.0 == Layer::Active && n.2 == metal.2));
+        assert!(x
+            .nodes
+            .iter()
+            .any(|n| n.0 == Layer::Active && n.2 == metal.2));
     }
 
     #[test]

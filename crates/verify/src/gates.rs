@@ -123,7 +123,9 @@ mod tests {
     fn touching_pairs_are_ignored() {
         let poly = [Rect::new(0, 14, 26, 16)];
         let active = [Rect::new(3, 5, 11, 14)];
-        assert!(find_gates(&poly, &active).expect("consistent input").is_empty());
+        assert!(find_gates(&poly, &active)
+            .expect("consistent input")
+            .is_empty());
     }
 
     #[test]

@@ -67,9 +67,7 @@ fn refine(g: &NetGraph) -> (Vec<u64>, Vec<u64>) {
                         .map(|&(di, role)| mix(dev_labels[di], role)),
                 );
                 neighbour.sort_unstable();
-                neighbour
-                    .iter()
-                    .fold(net_labels[ni], |acc, &x| mix(acc, x))
+                neighbour.iter().fold(net_labels[ni], |acc, &x| mix(acc, x))
             })
             .collect();
         let next_devs: Vec<u64> = g
@@ -220,8 +218,7 @@ pub fn compare(extracted: &NetGraph, reference: &NetGraph) -> LvsReport {
     // Tally per-label populations with a deterministic sample element.
     let tally = |labels: &[u64]| {
         let mut t: Vec<(u64, usize, usize)> = Vec::new(); // (label, count, first)
-        let mut sorted: Vec<(u64, usize)> =
-            labels.iter().copied().zip(0..labels.len()).collect();
+        let mut sorted: Vec<(u64, usize)> = labels.iter().copied().zip(0..labels.len()).collect();
         sorted.sort_unstable();
         for (label, idx) in sorted {
             match t.last_mut() {
@@ -266,9 +263,7 @@ pub fn compare(extracted: &NetGraph, reference: &NetGraph) -> LvsReport {
         out
     };
 
-    for (label, e_count, e_idx, r_count, r_idx) in
-        diff(&tally(&e_nets), &tally(&r_nets))
-    {
+    for (label, e_count, e_idx, r_count, r_idx) in diff(&tally(&e_nets), &tally(&r_nets)) {
         let description = e_idx
             .map(|i| describe_net(extracted, i, &e_terms))
             .or_else(|| r_idx.map(|i| describe_net(reference, i, &r_terms)))
@@ -283,9 +278,7 @@ pub fn compare(extracted: &NetGraph, reference: &NetGraph) -> LvsReport {
             reference_at: r_idx.and_then(|i| net_rect(reference, i)),
         });
     }
-    for (label, e_count, e_idx, r_count, r_idx) in
-        diff(&tally(&e_devs), &tally(&r_devs))
-    {
+    for (label, e_count, e_idx, r_count, r_idx) in diff(&tally(&e_devs), &tally(&r_devs)) {
         let description = e_idx
             .map(|i| describe_device(extracted, i))
             .or_else(|| r_idx.map(|i| describe_device(reference, i)))
@@ -442,7 +435,11 @@ mod tests {
     #[test]
     fn mismatch_display_has_counts_and_coordinates() {
         let r = compare(&inverter(900, 700), &inverter(800, 700));
-        let s = r.mismatches.iter().map(|m| m.to_string()).collect::<String>();
+        let s = r
+            .mismatches
+            .iter()
+            .map(|m| m.to_string())
+            .collect::<String>();
         assert!(s.contains("layout has") && s.contains("at ["), "{s}");
     }
 

@@ -144,7 +144,15 @@ impl SchBuilder {
 
     /// A net whose single anchor is the given rectangle.
     #[allow(clippy::too_many_arguments)]
-    fn wire(&mut self, name: &str, layer: Layer, x0: Coord, y0: Coord, x1: Coord, y1: Coord) -> usize {
+    fn wire(
+        &mut self,
+        name: &str,
+        layer: Layer,
+        x0: Coord,
+        y0: Coord,
+        x1: Coord,
+        y1: Coord,
+    ) -> usize {
         let n = self.net(name);
         self.anchor(n, layer, x0, y0, x1, y1);
         n
@@ -279,7 +287,14 @@ pub fn leaf_schematic(spec: &LeafSpec, process: &Process) -> CellSchematic {
             let w = 8 * address_bits as Coord + 12;
             let gx = 8 * address_bits as Coord;
             for bit in 0..address_bits as Coord {
-                b.wire(&format!("a{bit}"), Layer::Metal2, 8 * bit + 2, 0, 8 * bit + 5, 40);
+                b.wire(
+                    &format!("a{bit}"),
+                    Layer::Metal2,
+                    8 * bit + 2,
+                    0,
+                    8 * bit + 5,
+                    40,
+                );
             }
             b.wire("wl", Layer::Poly, gx + 1, 18, w, 20);
             b.wire("gnd", Layer::Metal1, 0, 0, w, 3);
@@ -453,7 +468,10 @@ impl SchematicLib {
     }
 
     /// A library covering exactly the given leaf specs.
-    pub fn for_leaves<'a>(specs: impl IntoIterator<Item = &'a LeafSpec>, process: &Process) -> Self {
+    pub fn for_leaves<'a>(
+        specs: impl IntoIterator<Item = &'a LeafSpec>,
+        process: &Process,
+    ) -> Self {
         let mut lib = Self::new();
         for spec in specs {
             lib.insert(leaf_schematic(spec, process));
@@ -651,11 +669,7 @@ mod tests {
         let sram = Arc::new(LeafSpec::Sram6t.build(&process));
         let mut pair = Cell::new("pair");
         pair.add_instance("c0", sram.clone(), Transform::IDENTITY);
-        pair.add_instance(
-            "c1",
-            sram,
-            Transform::translate(Point::new(0, 40 * lam)),
-        );
+        pair.add_instance("c1", sram, Transform::translate(Point::new(0, 40 * lam)));
         let g = compose(&pair, &lib).unwrap();
         // Two cells share bl, blb (vertical abutment); wl/gnd/vdd stay
         // per-cell: 2*16 - 2 shared.
@@ -682,9 +696,20 @@ mod tests {
     fn standard_library_covers_all_leaf_names() {
         let lib = SchematicLib::standard(&p());
         for name in [
-            "sram6t", "precharge", "sense_amp", "write_driver", "col_mux", "row_decoder",
-            "wordline_driver", "cam_bit", "pla_x1", "pla_x0", "pla_pullup", "dff",
-            "counter_bit", "xor2",
+            "sram6t",
+            "precharge",
+            "sense_amp",
+            "write_driver",
+            "col_mux",
+            "row_decoder",
+            "wordline_driver",
+            "cam_bit",
+            "pla_x1",
+            "pla_x0",
+            "pla_pullup",
+            "dff",
+            "counter_bit",
+            "xor2",
         ] {
             assert!(lib.get(name).is_some(), "{name}");
         }

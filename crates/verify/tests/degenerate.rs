@@ -120,7 +120,10 @@ fn random_rect_soup_never_panics() {
         top.add_instance(
             "b",
             cell,
-            Transform::translate(Point::new(rng.gen_range(-300..300), rng.gen_range(-300..300))),
+            Transform::translate(Point::new(
+                rng.gen_range(-300..300),
+                rng.gen_range(-300..300),
+            )),
         );
         let _ = verify_cell_hier(rules, &top, &lib, &NoCertStore);
         let _ = round;

@@ -440,8 +440,14 @@ mod tests {
         write_frame(&mut buf, b"first").unwrap();
         write_frame(&mut buf, b"second").unwrap();
         let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r, 1024).unwrap().as_deref(), Some(&b"first"[..]));
-        assert_eq!(read_frame(&mut r, 1024).unwrap().as_deref(), Some(&b"second"[..]));
+        assert_eq!(
+            read_frame(&mut r, 1024).unwrap().as_deref(),
+            Some(&b"first"[..])
+        );
+        assert_eq!(
+            read_frame(&mut r, 1024).unwrap().as_deref(),
+            Some(&b"second"[..])
+        );
         assert!(read_frame(&mut r, 1024).unwrap().is_none());
     }
 }

@@ -70,7 +70,10 @@ impl Default for CostModel {
 /// assert!(dpw > 240.0 && dpw < 300.0, "{dpw}");
 /// ```
 pub fn dies_per_wafer(die_area: f64, wafer_diameter: f64) -> f64 {
-    assert!(die_area > 0.0 && wafer_diameter > 0.0, "positive sizes required");
+    assert!(
+        die_area > 0.0 && wafer_diameter > 0.0,
+        "positive sizes required"
+    );
     let r = wafer_diameter / 2.0;
     let gross = std::f64::consts::PI * r * r / die_area
         - std::f64::consts::PI * wafer_diameter / (2.0 * die_area).sqrt();
@@ -296,8 +299,6 @@ mod tests {
         let cpu = &mpr::dataset()[0];
         let model = CostModel::default();
         let b = breakdown(cpu, &model, cpu.die_area_mm2, cpu.die_yield);
-        assert!(
-            (b.total() - (b.die_cost + b.test_assembly_cost + b.package_cost)).abs() < 1e-12
-        );
+        assert!((b.total() - (b.die_cost + b.test_assembly_cost + b.package_cost)).abs() < 1e-12);
     }
 }

@@ -336,7 +336,10 @@ mod tests {
         assert!(z.is_finite(), "degenerate draws must not blow up: {z}");
         // Both halves of the pair are covered by the same guard.
         let (z0, z1) = normal_pair(&mut ZeroRng);
-        assert!(z0.is_finite() && z1.is_finite(), "pair must stay finite: ({z0}, {z1})");
+        assert!(
+            z0.is_finite() && z1.is_finite(),
+            "pair must stay finite: ({z0}, {z1})"
+        );
         // And a seeded stream keeps producing plausible, finite normals.
         let mut rng = StdRng::seed_from_u64(42);
         let n = 2000;
@@ -345,7 +348,10 @@ mod tests {
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|z| (z - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.1, "standard normal mean came out {mean}");
-        assert!((var - 1.0).abs() < 0.15, "standard normal variance came out {var}");
+        assert!(
+            (var - 1.0).abs() < 0.15,
+            "standard normal variance came out {var}"
+        );
     }
 
     /// The cached-spare stream must deliver the same distribution as the
@@ -363,11 +369,7 @@ mod tests {
         assert!((var - 1.0).abs() < 0.12, "variance came out {var}");
         // Consecutive samples (cos/sin of one transform) stay
         // uncorrelated.
-        let cov = samples
-            .chunks_exact(2)
-            .map(|c| c[0] * c[1])
-            .sum::<f64>()
-            / (n / 2) as f64;
+        let cov = samples.chunks_exact(2).map(|c| c[0] * c[1]).sum::<f64>() / (n / 2) as f64;
         assert!(cov.abs() < 0.1, "pair covariance came out {cov}");
     }
 
@@ -396,8 +398,14 @@ mod tests {
     #[test]
     fn wilson_interval_brackets_the_point_estimate() {
         let (lo, hi) = wilson_interval(90, 100, 1.96);
-        assert!(lo < 0.9 && 0.9 < hi, "interval ({lo:.3}, {hi:.3}) must cover p̂");
-        assert!(lo > 0.8 && hi < 0.97, "interval ({lo:.3}, {hi:.3}) implausibly wide");
+        assert!(
+            lo < 0.9 && 0.9 < hi,
+            "interval ({lo:.3}, {hi:.3}) must cover p̂"
+        );
+        assert!(
+            lo > 0.8 && hi < 0.97,
+            "interval ({lo:.3}, {hi:.3}) implausibly wide"
+        );
         // Extremes stay inside [0, 1] — the reason Wilson beats the
         // normal approximation for rare events.
         let (lo0, hi0) = wilson_interval(0, 50, 1.96);

@@ -81,21 +81,216 @@ pub fn dataset() -> Vec<Microprocessor> {
     vec![
         // name, metals, die mm², wafer mm, wafer $, yield, cache frac,
         // cache kB, pins, package, test min, MHz
-        Microprocessor::new("Intel386DX", 2, 42.0, 150.0, 900.0, 0.75, 0.00, 0, 132, Package::Pqfp, 0.5, 33),
-        Microprocessor::new("Intel486DX2", 3, 81.0, 150.0, 1100.0, 0.60, 0.10, 8, 168, Package::Pga, 1.0, 66),
-        Microprocessor::new("IntelDX4", 3, 76.0, 200.0, 1900.0, 0.55, 0.16, 16, 168, Package::Pga, 1.2, 100),
-        Microprocessor::new("Pentium", 4, 163.0, 200.0, 2400.0, 0.32, 0.14, 16, 273, Package::Pga, 3.0, 66),
-        Microprocessor::new("Pentium-90", 4, 148.0, 200.0, 2600.0, 0.38, 0.16, 16, 296, Package::Pga, 3.0, 90),
-        Microprocessor::new("TI SuperSPARC", 3, 256.0, 200.0, 2300.0, 0.10, 0.36, 36, 293, Package::Pga, 5.0, 60),
-        Microprocessor::new("microSPARC", 2, 225.0, 150.0, 1000.0, 0.35, 0.20, 6, 288, Package::Pqfp, 1.5, 50),
-        Microprocessor::new("MIPS R4400", 3, 186.0, 200.0, 2200.0, 0.22, 0.25, 32, 447, Package::Pga, 3.5, 150),
-        Microprocessor::new("MIPS R4600", 3, 77.0, 200.0, 1800.0, 0.50, 0.22, 32, 179, Package::Pga, 1.5, 100),
-        Microprocessor::new("PowerPC 601", 3, 121.0, 200.0, 2100.0, 0.35, 0.26, 32, 304, Package::Pga, 2.5, 80),
-        Microprocessor::new("PowerPC 604", 4, 196.0, 200.0, 2500.0, 0.25, 0.24, 32, 304, Package::Pga, 3.0, 100),
-        Microprocessor::new("DEC Alpha 21064A", 4, 164.0, 200.0, 2700.0, 0.28, 0.28, 32, 431, Package::Pga, 4.0, 275),
-        Microprocessor::new("AMD Am486DX2", 3, 84.0, 150.0, 1050.0, 0.58, 0.12, 8, 168, Package::Pga, 1.0, 66),
-        Microprocessor::new("Motorola 68040", 2, 126.0, 150.0, 950.0, 0.45, 0.18, 8, 179, Package::Pga, 1.2, 33),
-        Microprocessor::new("HyperSPARC", 3, 144.0, 200.0, 2200.0, 0.30, 0.27, 24, 144, Package::Pqfp, 2.5, 90),
+        Microprocessor::new(
+            "Intel386DX",
+            2,
+            42.0,
+            150.0,
+            900.0,
+            0.75,
+            0.00,
+            0,
+            132,
+            Package::Pqfp,
+            0.5,
+            33,
+        ),
+        Microprocessor::new(
+            "Intel486DX2",
+            3,
+            81.0,
+            150.0,
+            1100.0,
+            0.60,
+            0.10,
+            8,
+            168,
+            Package::Pga,
+            1.0,
+            66,
+        ),
+        Microprocessor::new(
+            "IntelDX4",
+            3,
+            76.0,
+            200.0,
+            1900.0,
+            0.55,
+            0.16,
+            16,
+            168,
+            Package::Pga,
+            1.2,
+            100,
+        ),
+        Microprocessor::new(
+            "Pentium",
+            4,
+            163.0,
+            200.0,
+            2400.0,
+            0.32,
+            0.14,
+            16,
+            273,
+            Package::Pga,
+            3.0,
+            66,
+        ),
+        Microprocessor::new(
+            "Pentium-90",
+            4,
+            148.0,
+            200.0,
+            2600.0,
+            0.38,
+            0.16,
+            16,
+            296,
+            Package::Pga,
+            3.0,
+            90,
+        ),
+        Microprocessor::new(
+            "TI SuperSPARC",
+            3,
+            256.0,
+            200.0,
+            2300.0,
+            0.10,
+            0.36,
+            36,
+            293,
+            Package::Pga,
+            5.0,
+            60,
+        ),
+        Microprocessor::new(
+            "microSPARC",
+            2,
+            225.0,
+            150.0,
+            1000.0,
+            0.35,
+            0.20,
+            6,
+            288,
+            Package::Pqfp,
+            1.5,
+            50,
+        ),
+        Microprocessor::new(
+            "MIPS R4400",
+            3,
+            186.0,
+            200.0,
+            2200.0,
+            0.22,
+            0.25,
+            32,
+            447,
+            Package::Pga,
+            3.5,
+            150,
+        ),
+        Microprocessor::new(
+            "MIPS R4600",
+            3,
+            77.0,
+            200.0,
+            1800.0,
+            0.50,
+            0.22,
+            32,
+            179,
+            Package::Pga,
+            1.5,
+            100,
+        ),
+        Microprocessor::new(
+            "PowerPC 601",
+            3,
+            121.0,
+            200.0,
+            2100.0,
+            0.35,
+            0.26,
+            32,
+            304,
+            Package::Pga,
+            2.5,
+            80,
+        ),
+        Microprocessor::new(
+            "PowerPC 604",
+            4,
+            196.0,
+            200.0,
+            2500.0,
+            0.25,
+            0.24,
+            32,
+            304,
+            Package::Pga,
+            3.0,
+            100,
+        ),
+        Microprocessor::new(
+            "DEC Alpha 21064A",
+            4,
+            164.0,
+            200.0,
+            2700.0,
+            0.28,
+            0.28,
+            32,
+            431,
+            Package::Pga,
+            4.0,
+            275,
+        ),
+        Microprocessor::new(
+            "AMD Am486DX2",
+            3,
+            84.0,
+            150.0,
+            1050.0,
+            0.58,
+            0.12,
+            8,
+            168,
+            Package::Pga,
+            1.0,
+            66,
+        ),
+        Microprocessor::new(
+            "Motorola 68040",
+            2,
+            126.0,
+            150.0,
+            950.0,
+            0.45,
+            0.18,
+            8,
+            179,
+            Package::Pga,
+            1.2,
+            33,
+        ),
+        Microprocessor::new(
+            "HyperSPARC",
+            3,
+            144.0,
+            200.0,
+            2200.0,
+            0.30,
+            0.27,
+            24,
+            144,
+            Package::Pqfp,
+            2.5,
+            90,
+        ),
     ]
 }
 
@@ -113,7 +308,11 @@ mod tests {
         let d = dataset();
         assert!(d.len() >= 12, "table needs a representative spread");
         for c in &d {
-            assert!(c.die_area_mm2 > 30.0 && c.die_area_mm2 < 400.0, "{}", c.name);
+            assert!(
+                c.die_area_mm2 > 30.0 && c.die_area_mm2 < 400.0,
+                "{}",
+                c.name
+            );
             assert!((0.05..=0.9).contains(&c.die_yield), "{}", c.name);
             assert!((0.0..=0.5).contains(&c.cache_fraction), "{}", c.name);
             assert!(c.wafer_diameter_mm == 150.0 || c.wafer_diameter_mm == 200.0);

@@ -58,7 +58,11 @@ pub fn optimize_spares(
         } else {
             model.yield_with_bisr(defects)
         };
-        let growth = if spares == 0 { 1.0 } else { model.growth_factor };
+        let growth = if spares == 0 {
+            1.0
+        } else {
+            model.growth_factor
+        };
         points.push(SparePoint {
             spares,
             yield_with_bisr: y,
@@ -190,7 +194,10 @@ mod tests {
         let measured = optimize_spares_measured(4096, 4, 4, p_cell, 0.05, 16);
         let assumed = optimize_spares(4096, 4, 4, 4.0, 0.05, 16);
         assert_eq!(measured, assumed);
-        assert!(measured.optimal_spares > 0, "4 expected defects must buy spares");
+        assert!(
+            measured.optimal_spares > 0,
+            "4 expected defects must buy spares"
+        );
     }
 
     #[test]

@@ -706,8 +706,12 @@ impl RareEngine {
         let resid_var = samples
             .iter()
             .map(|(z, m)| {
-                let predicted =
-                    mean + coeff.iter().zip(z.iter()).map(|(c, zi)| c * zi).sum::<f64>();
+                let predicted = mean
+                    + coeff
+                        .iter()
+                        .zip(z.iter())
+                        .map(|(c, zi)| c * zi)
+                        .sum::<f64>();
                 (m - predicted).powi(2)
             })
             .sum::<f64>()
@@ -721,8 +725,12 @@ impl RareEngine {
             for i in range {
                 let mut rng = StdRng::seed_from_u64(trial_seed(base_seed, i));
                 let z = draw_z(&mut rng);
-                let predicted =
-                    mean + coeff.iter().zip(z.iter()).map(|(c, zi)| c * zi).sum::<f64>();
+                let predicted = mean
+                    + coeff
+                        .iter()
+                        .zip(z.iter())
+                        .map(|(c, zi)| c * zi)
+                        .sum::<f64>();
                 if predicted > guard {
                     blocked += 1; // safely above threshold: accept unsimulated
                 } else {
@@ -742,11 +750,7 @@ impl RareEngine {
             simulated += s;
             blocked += b;
         }
-        let estimate = finish_estimate(
-            trials,
-            vec![(fails, fails as f64, fails as f64)],
-            0.0,
-        );
+        let estimate = finish_estimate(trials, vec![(fails, fails as f64, fails as f64)], 0.0);
         BlockadeResult {
             estimate,
             pilot_trials: pilot,
@@ -823,11 +827,7 @@ mod tests {
     /// The cheap workhorse: write-margin trials on the 0.7 µm process,
     /// with the threshold calibrated into the requested tail.
     fn engine(p_target: f64) -> RareEngine {
-        let mut e = RareEngine::for_process(
-            &Process::cda07(),
-            TrialKernel::WriteMargin,
-            0.0,
-        );
+        let mut e = RareEngine::for_process(&Process::cda07(), TrialKernel::WriteMargin, 0.0);
         e.threshold = e.calibrate_threshold(0xBEEF, 400, p_target, 4);
         e
     }
@@ -899,7 +899,10 @@ mod tests {
     fn deep_tail_is_beats_mc_at_iso_variance() {
         let e = engine(1e-4);
         let is = e.run_is_auto(0x7A11, 800, 8);
-        assert!(is.failures >= 100, "the shift must land in the tail: {is:?}");
+        assert!(
+            is.failures >= 100,
+            "the shift must land in the tail: {is:?}"
+        );
         assert!(
             is.p_fail > 1e-6 && is.p_fail < 1e-2,
             "tail estimate out of range: {:e}",

@@ -17,9 +17,9 @@ use bisram_bist::transparent::run_transparent;
 use bisram_bist::trpla::{assemble, ControllerSim, Pla};
 use bisram_bist::IdentityMap;
 use bisram_mem::{Fault, FaultKind, Word};
-use bisramgen::{compile, RamParams};
 use bisram_rng::rngs::StdRng;
 use bisram_rng::{Rng, SeedableRng};
+use bisramgen::{compile, RamParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = RamParams::builder()
@@ -32,9 +32,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. A custom march in standard notation (March C- here, but any
     //    r/w sequence works).
-    let custom = parse_march("my March C-", "$(w0); ^(r0,w1); ^(r1,w0); v(r0,w1); v(r1,w0); $(r0)")?;
+    let custom = parse_march(
+        "my March C-",
+        "$(w0); ^(r0,w1); ^(r1,w0); v(r0,w1); v(r1,w0); $(r0)",
+    )?;
     println!("parsed: {custom}");
-    println!("  {}N complexity, {} delays", custom.ops_per_address(), custom.delay_count());
+    println!(
+        "  {}N complexity, {} delays",
+        custom.ops_per_address(),
+        custom.delay_count()
+    );
 
     // 2. Assemble to TRPLA microcode and write the two control files.
     let program = assemble(&custom);

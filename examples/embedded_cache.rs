@@ -6,8 +6,8 @@
 //! cargo run --release --example embedded_cache
 //! ```
 
-use bisramgen::{compile, RamParams};
 use bisram_tech::Process;
+use bisramgen::{compile, RamParams};
 
 struct CacheSpec {
     name: &'static str,
@@ -19,13 +19,33 @@ struct CacheSpec {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let specs = [
         // Fig. 6: 4K words of 128 bits (64 kB), bpc = 8.
-        CacheSpec { name: "fig6 64kB demo", words: 4096, bpw: 128, bpc: 8 },
+        CacheSpec {
+            name: "fig6 64kB demo",
+            words: 4096,
+            bpw: 128,
+            bpc: 8,
+        },
         // Fig. 7: 4K words of 256 bits (128 kB), bpc = 16.
-        CacheSpec { name: "fig7 128kB demo", words: 4096, bpw: 256, bpc: 16 },
+        CacheSpec {
+            name: "fig7 128kB demo",
+            words: 4096,
+            bpw: 256,
+            bpc: 16,
+        },
         // An L1-class cache: 64 kB as 8K x 64.
-        CacheSpec { name: "L1-class 64kB", words: 8192, bpw: 64, bpc: 8 },
+        CacheSpec {
+            name: "L1-class 64kB",
+            words: 8192,
+            bpw: 64,
+            bpc: 8,
+        },
         // An L2-class cache: 256 kB as 32K x 64.
-        CacheSpec { name: "L2-class 256kB", words: 32768, bpw: 64, bpc: 8 },
+        CacheSpec {
+            name: "L2-class 256kB",
+            words: 32768,
+            bpw: 64,
+            bpc: 8,
+        },
     ];
 
     println!(

@@ -4,8 +4,8 @@
 //! cargo run --example quickstart
 //! ```
 
-use bisramgen::{compile, RamParams};
 use bisram_tech::Process;
+use bisramgen::{compile, RamParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's §II parameter set: words, bits per word, bits per

@@ -14,9 +14,9 @@ use bisram_bist::march;
 use bisram_mem::{random_faults, row_failure, FaultMix};
 use bisram_repair::column;
 use bisram_repair::flow::{self, RepairOutcome, RepairSetup};
-use bisramgen::{compile, RamParams};
 use bisram_rng::rngs::StdRng;
 use bisram_rng::SeedableRng;
+use bisramgen::{compile, RamParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = RamParams::builder()
@@ -54,17 +54,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The iterated 2k-pass flow replaces the faulty spare.
     let mut m2 = memory.clone();
     let report = flow::self_test_and_repair(&mut m2, &RepairSetup::iterated(6));
-    println!("\niterated flow: {:?} after {} passes", report.outcome, report.passes);
+    println!(
+        "\niterated flow: {:?} after {} passes",
+        report.outcome, report.passes
+    );
     for (row, spare) in report.tlb.entries() {
         println!("  TLB: logical row {row:4} -> spare {spare}");
     }
     match report.outcome {
         RepairOutcome::Repaired { spares_used } => {
             println!("repaired using {spares_used} spares; verifying through the TLB ...");
-            let verify = run_march(&march::ifa9(), &mut m2, &MarchConfig::default(), Some(&report.tlb));
+            let verify = run_march(
+                &march::ifa9(),
+                &mut m2,
+                &MarchConfig::default(),
+                Some(&report.tlb),
+            );
             println!(
                 "post-repair IFA-9: {}",
-                if verify.detected() { "FAULTS REMAIN" } else { "clean" }
+                if verify.detected() {
+                    "FAULTS REMAIN"
+                } else {
+                    "clean"
+                }
             );
         }
         other => println!("unexpected outcome: {other:?}"),

@@ -7,18 +7,21 @@
 //! ```
 
 use bisram_mem::ArrayOrg;
+use bisram_rng::rngs::StdRng;
+use bisram_rng::SeedableRng;
 use bisram_yield::cost::{self, CostModel};
 use bisram_yield::montecarlo;
 use bisram_yield::mpr;
 use bisram_yield::reliability::ReliabilityModel;
 use bisram_yield::repairability::YieldModel;
-use bisram_rng::rngs::StdRng;
-use bisram_rng::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Yield vs defects (the Fig. 4 setting).
     println!("yield vs defects (1024 rows, bpc=4, bpw=4):");
-    println!("{:>8} {:>10} {:>10} {:>10} {:>10}", "defects", "no BISR", "4 spares", "8 spares", "16 spares");
+    println!(
+        "{:>8} {:>10} {:>10} {:>10} {:>10}",
+        "defects", "no BISR", "4 spares", "8 spares", "16 spares"
+    );
     for defects in [0.0, 2.0, 4.0, 8.0, 16.0, 32.0] {
         let base = YieldModel::new(ArrayOrg::new(4096, 4, 4, 4)?, 0.05);
         let y = |s: usize| {
@@ -51,7 +54,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Reliability (Fig. 5): the early-life penalty of extra spares.
     println!("\nreliability over device age (defect rate 1e-6 per kilo-hour per cell):");
-    println!("{:>10} {:>10} {:>10} {:>10}", "age", "4 spares", "8 spares", "16 spares");
+    println!(
+        "{:>10} {:>10} {:>10} {:>10}",
+        "age", "4 spares", "8 spares", "16 spares"
+    );
     for years in [1u32, 4, 8, 12, 20] {
         let t = years as f64 * 8766.0;
         let r = |s| ReliabilityModel::fig5(s).reliability(t);
@@ -80,7 +86,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ),
             None => println!(
                 "{:<18} {:>9.2} {:>9} {:>9.2} {:>9} {:>8}",
-                cmp.name, cmp.without.die_cost, "-", cmp.without.total(), "-", "2-metal"
+                cmp.name,
+                cmp.without.die_cost,
+                "-",
+                cmp.without.total(),
+                "-",
+                "2-metal"
             ),
         }
     }

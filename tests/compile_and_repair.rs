@@ -9,9 +9,9 @@ use bisram_bist::{IdentityMap, RowMap};
 use bisram_mem::{random_faults, row_failure, FaultMix, Word};
 use bisram_repair::flow::{self, RepairOutcome, RepairSetup};
 use bisram_repair::Tlb;
-use bisramgen::{compile, RamParams};
 use bisram_rng::rngs::StdRng;
 use bisram_rng::SeedableRng;
+use bisramgen::{compile, RamParams};
 
 fn compiled() -> bisramgen::CompiledRam {
     let params = RamParams::builder()
@@ -43,7 +43,11 @@ fn damaged_part_repairs_and_then_behaves_fault_free() {
     memory.inject_all(random_faults(&mut rng, &org, 2, &FaultMix::stuck_at_only()));
 
     let report = flow::self_test_and_repair(&mut memory, &RepairSetup::default());
-    assert!(report.outcome.is_repaired(), "outcome: {:?}", report.outcome);
+    assert!(
+        report.outcome.is_repaired(),
+        "outcome: {:?}",
+        report.outcome
+    );
 
     // The repaired part must behave like a fault-free memory through the
     // TLB: write/read every word with two patterns.
@@ -56,7 +60,12 @@ fn damaged_part_repairs_and_then_behaves_fault_free() {
         assert_eq!(memory.read_word_at(phys, col), pattern, "addr {addr}");
     }
     // And a whole IFA-9 run through the map stays clean.
-    let verify = run_march(&march::ifa9(), &mut memory, &MarchConfig::default(), Some(tlb));
+    let verify = run_march(
+        &march::ifa9(),
+        &mut memory,
+        &MarchConfig::default(),
+        Some(tlb),
+    );
     assert!(!verify.detected());
 }
 
@@ -149,7 +158,11 @@ fn address_decoder_faults_are_detected_and_row_repaired() {
     let mut memory = ram.behavioural_model();
     memory.inject_row_fault(11, RowFault::NoAccess);
     let blind = flow::self_test_and_repair(&mut memory, &RepairSetup::default());
-    assert_eq!(blind.outcome, RepairOutcome::AlreadyGood, "IFA-9 is blind to it");
+    assert_eq!(
+        blind.outcome,
+        RepairOutcome::AlreadyGood,
+        "IFA-9 is blind to it"
+    );
     let mut memory = ram.behavioural_model();
     memory.inject_row_fault(11, RowFault::NoAccess);
     let report = flow::self_test_and_repair(&mut memory, &ifa13_setup);

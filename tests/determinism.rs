@@ -128,8 +128,8 @@ fn parallel_and_cached_compiles_match_the_serial_cold_path() {
         .spare_rows(4)
         .build()
         .expect("valid parameters");
-    let reference = compile_with(&params, &CompileOptions::cold().with_jobs(1))
-        .expect("serial cold compile");
+    let reference =
+        compile_with(&params, &CompileOptions::cold().with_jobs(1)).expect("serial cold compile");
     let reference_bytes = output_bytes(&reference);
     for jobs in [2, 8] {
         let options = CompileOptions::cold().with_jobs(jobs);
@@ -259,11 +259,8 @@ fn signoff_verification_is_clean_for_every_process() {
             .process(process)
             .build()
             .expect("valid parameters");
-        let ram = compile_with(
-            &params,
-            &CompileOptions::cold().with_verify(true),
-        )
-        .expect("verified compile");
+        let ram = compile_with(&params, &CompileOptions::cold().with_verify(true))
+            .expect("verified compile");
         let report = ram.verify_report().expect("verification requested");
         assert_eq!(report.cells.len(), 12, "{name}");
         assert!(report.is_clean(), "[{name}]\n{report}");
@@ -364,11 +361,7 @@ fn rare_event_estimates_are_byte_identical_across_worker_counts() {
     // sampling and statistical blockade — must not depend on the worker
     // count. `TailEstimate::eq` compares floats via `to_bits`, so the
     // f64 weight sums must merge in chunk order, not completion order.
-    let mut engine = RareEngine::for_process(
-        &Process::cda07(),
-        TrialKernel::WriteMargin,
-        0.0,
-    );
+    let mut engine = RareEngine::for_process(&Process::cda07(), TrialKernel::WriteMargin, 0.0);
     engine.threshold = engine.calibrate_threshold(0xBEEF, 120, 1e-2, 1);
     let shifts = engine.find_shifts();
     assert!(!shifts.is_empty(), "pre-search must find a failure mode");
@@ -379,8 +372,16 @@ fn rare_event_estimates_are_byte_identical_across_worker_counts() {
     let blockade = engine.run_blockade(0x5EED, 64, 96, 3.0, 1);
     for jobs in [2usize, 8] {
         let (mean, std) = engine.metric_stats(0xBEEF, 120, jobs);
-        assert_eq!(stats.0.to_bits(), mean.to_bits(), "pilot mean at {jobs} workers");
-        assert_eq!(stats.1.to_bits(), std.to_bits(), "pilot std at {jobs} workers");
+        assert_eq!(
+            stats.0.to_bits(),
+            mean.to_bits(),
+            "pilot mean at {jobs} workers"
+        );
+        assert_eq!(
+            stats.1.to_bits(),
+            std.to_bits(),
+            "pilot std at {jobs} workers"
+        );
         assert_eq!(
             mc,
             engine.run_mc(0x5EED, 96, jobs),
@@ -398,7 +399,10 @@ fn rare_event_estimates_are_byte_identical_across_worker_counts() {
         );
     }
     // The pinned runs saw real failures — the equality had teeth.
-    assert!(mc.failures > 0, "calibrated threshold must produce failures");
+    assert!(
+        mc.failures > 0,
+        "calibrated threshold must produce failures"
+    );
     assert!(is.failures > 0, "shifted run must hit the tail");
 }
 
@@ -423,10 +427,8 @@ fn serve_sections_are_byte_identical_across_services_and_worker_counts() {
     let job = JobSpec::parse(spec).expect("spec parses");
     let mut outputs = Vec::new();
     for jobs in [1usize, 2, 8] {
-        let service = Service::with_cache(
-            std::sync::Arc::new(bisramgen::CellCache::new()),
-            Some(jobs),
-        );
+        let service =
+            Service::with_cache(std::sync::Arc::new(bisramgen::CellCache::new()), Some(jobs));
         let (outcome, dedup) = service.submit(&job);
         assert!(!dedup);
         let result = outcome.as_ref().as_ref().expect("job succeeds");
@@ -447,15 +449,12 @@ fn serve_sections_are_byte_identical_across_services_and_worker_counts() {
 
 #[test]
 fn sweep_report_is_byte_identical_across_jobs_and_backends() {
-    use bisram_serve::{
-        run_sweep, Daemon, DaemonConfig, Listen, Service, SweepBackend, SweepSpec,
-    };
+    use bisram_serve::{run_sweep, Daemon, DaemonConfig, Listen, Service, SweepBackend, SweepSpec};
     use std::sync::Arc;
 
-    let spec = SweepSpec::parse(
-        "words = 128, 256\nbpw = 8\nbpc = 4\nspares = 1, 3\nverify = none\n",
-    )
-    .expect("sweep spec parses");
+    let spec =
+        SweepSpec::parse("words = 128, 256\nbpw = 8\nbpc = 4\nspares = 1, 3\nverify = none\n")
+            .expect("sweep spec parses");
 
     // In-process at several concurrency levels...
     let mut reports = Vec::new();

@@ -37,12 +37,34 @@ fn couplings(o: &ArrayOrg) -> Vec<FaultKind> {
     let same_word = o.cell_at(11, 2, 6);
     let other_row = o.cell_at(40, 1, 3);
     vec![
-        FaultKind::CouplingInv { aggressor: same_word, rising: true },
-        FaultKind::CouplingInv { aggressor: other_row, rising: false },
-        FaultKind::CouplingIdem { aggressor: same_word, rising: true, forced: false },
-        FaultKind::CouplingIdem { aggressor: other_row, rising: false, forced: true },
-        FaultKind::StateCoupling { aggressor: same_word, state: true, forced: false },
-        FaultKind::StateCoupling { aggressor: other_row, state: false, forced: true },
+        FaultKind::CouplingInv {
+            aggressor: same_word,
+            rising: true,
+        },
+        FaultKind::CouplingInv {
+            aggressor: other_row,
+            rising: false,
+        },
+        FaultKind::CouplingIdem {
+            aggressor: same_word,
+            rising: true,
+            forced: false,
+        },
+        FaultKind::CouplingIdem {
+            aggressor: other_row,
+            rising: false,
+            forced: true,
+        },
+        FaultKind::StateCoupling {
+            aggressor: same_word,
+            state: true,
+            forced: false,
+        },
+        FaultKind::StateCoupling {
+            aggressor: other_row,
+            state: false,
+            forced: true,
+        },
     ]
 }
 
@@ -111,7 +133,10 @@ fn ifa13_recovers_every_coupling_aggressor() {
         let (m, d) = run(kind, march::ifa13());
         assert_eq!(d.faults.len(), 1, "{kind}: exactly one suspect");
         assert_eq!(d.faults[0].candidates, vec![kind], "{kind}: exact recovery");
-        assert!(d.probe_writes > 0, "{kind}: resolved by probing, not guessing");
+        assert!(
+            d.probe_writes > 0,
+            "{kind}: resolved by probing, not guessing"
+        );
         assert!(validate(&d.faults, &m).is_perfect(), "{kind}");
     }
 }
@@ -130,7 +155,11 @@ fn march_c_minus_matrix_with_pinned_blind_spots() {
                 assert!(d.faults.is_empty(), "{kind}: March C- blind spot");
             }
             detected => {
-                assert_golden(detected, march::march_c_minus(), &golden_candidates(detected));
+                assert_golden(
+                    detected,
+                    march::march_c_minus(),
+                    &golden_candidates(detected),
+                );
             }
         }
     }
@@ -191,7 +220,11 @@ fn multi_fault_population_validates_perfectly_under_ifa13() {
     let report = validate(&d.faults, &m);
     assert!(report.is_perfect(), "{report:?}");
     for (cell, kind) in plant {
-        let f = d.faults.iter().find(|f| f.cell == cell).expect("cell named");
+        let f = d
+            .faults
+            .iter()
+            .find(|f| f.cell == cell)
+            .expect("cell named");
         assert!(f.candidates.contains(&kind), "{kind}: {:?}", f.candidates);
     }
 }

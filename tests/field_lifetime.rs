@@ -3,12 +3,12 @@
 //! datasheet reliability section, and both spare policies exercised on
 //! the same fault pressure.
 
+use bisram_mem::ArrayOrg;
 use bisramgen::field::{
     simulate_fleet, simulate_lifetime, DegradationState, FieldConfig, SparePolicy,
 };
 use bisramgen::yield_model::reliability::ReliabilityModel;
 use bisramgen::{Datasheet, RamParams};
-use bisram_mem::ArrayOrg;
 
 fn config(spares: usize) -> FieldConfig {
     let org = ArrayOrg::new(64, 4, 4, spares).expect("valid");

@@ -26,7 +26,11 @@ fn compiled_module_core_is_drc_clean_in_every_process() {
             .expect("valid");
         let ram = compile(&params).expect("compiles");
         let shapes = ram.chip().flatten();
-        assert!(shapes.len() > 500, "module is non-trivial: {}", shapes.len());
+        assert!(
+            shapes.len() > 500,
+            "module is non-trivial: {}",
+            shapes.len()
+        );
         // Note: route shapes (metal3) connect macros and may touch many
         // rects; the DRC treats touching shapes as connected.
         let violations = drc::check(process.rules(), shapes);
@@ -68,7 +72,10 @@ fn exports_are_consistent_with_geometry() {
     let flat = array.flatten();
     let cif = export::to_cif(&array);
     let svg = export::to_svg(&array);
-    assert_eq!(cif.lines().filter(|l| l.starts_with("B ")).count(), flat.len());
+    assert_eq!(
+        cif.lines().filter(|l| l.starts_with("B ")).count(),
+        flat.len()
+    );
     assert_eq!(svg.matches("<rect").count(), flat.len());
 }
 
@@ -120,7 +127,11 @@ fn bigger_user_knobs_grow_the_layout_monotonically() {
 
 #[test]
 fn floorplan_svg_covers_every_macro_and_is_parsable_xml() {
-    let params = RamParams::builder().words(256).bits_per_word(8).build().unwrap();
+    let params = RamParams::builder()
+        .words(256)
+        .bits_per_word(8)
+        .build()
+        .unwrap();
     let ram = compile(&params).unwrap();
     let svg = ram.floorplan_svg();
     for m in ram.placement().placed() {
@@ -191,11 +202,23 @@ fn placement_matches_flatten_based_extents_across_the_sweep_space() {
                         .collect();
                     let lambda = process.rules().lambda();
                     let oracle = place_with_margin(stand_ins, 12 * lambda);
-                    let placed: Vec<_> =
-                        ram.placement().placed().iter().map(|p| (&p.name, p.transform)).collect();
-                    let expected: Vec<_> =
-                        oracle.placed().iter().map(|p| (&p.name, p.transform)).collect();
-                    assert_eq!(placed, expected, "{} {words}x{bpw} bpc {bpc}", process.name());
+                    let placed: Vec<_> = ram
+                        .placement()
+                        .placed()
+                        .iter()
+                        .map(|p| (&p.name, p.transform))
+                        .collect();
+                    let expected: Vec<_> = oracle
+                        .placed()
+                        .iter()
+                        .map(|p| (&p.name, p.transform))
+                        .collect();
+                    assert_eq!(
+                        placed,
+                        expected,
+                        "{} {words}x{bpw} bpc {bpc}",
+                        process.name()
+                    );
                     checked += 1;
                 }
             }

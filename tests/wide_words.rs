@@ -54,10 +54,7 @@ fn ifa9_detects_faults_in_high_limbs() {
     for bit in [1usize, 65, 127] {
         let org = wide_org();
         let mut ram = SramModel::new(org);
-        ram.inject(Fault::new(
-            org.cell_at(5, 2, bit),
-            FaultKind::StuckAt(true),
-        ));
+        ram.inject(Fault::new(org.cell_at(5, 2, bit), FaultKind::StuckAt(true)));
         let out = run_march(&march::ifa9(), &mut ram, &MarchConfig::quick(), None);
         assert!(out.detected(), "bit {bit} missed");
     }

@@ -2,11 +2,11 @@
 //! Monte-Carlo fault injection through the real BIST + BISR machinery.
 
 use bisram_mem::ArrayOrg;
+use bisram_rng::rngs::StdRng;
+use bisram_rng::SeedableRng;
 use bisram_yield::montecarlo::{self, MonteCarloYield};
 use bisram_yield::repairability::{repair_probability, repair_probability_clustered, YieldModel};
 use bisram_yield::stapper;
-use bisram_rng::rngs::StdRng;
-use bisram_rng::SeedableRng;
 
 fn org(spares: usize) -> ArrayOrg {
     ArrayOrg::new(512, 8, 4, spares).expect("valid")
@@ -94,6 +94,11 @@ fn fig4_model_is_internally_consistent_with_its_pieces() {
     // The BISR yield is bounded by the clustered repairability of the
     // array alone (the circuitry factor can only lower it).
     let n = 6.0;
-    let array_only = repair_probability_clustered(&org(4), n * model.growth_factor * (model.growth_factor - model.overhead_fraction) / model.growth_factor, model.alpha);
+    let array_only = repair_probability_clustered(
+        &org(4),
+        n * model.growth_factor * (model.growth_factor - model.overhead_fraction)
+            / model.growth_factor,
+        model.alpha,
+    );
     assert!(model.yield_with_bisr(n) <= array_only + 1e-9);
 }
