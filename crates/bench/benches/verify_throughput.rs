@@ -23,8 +23,11 @@
 //! A third case is shaped like the compiler's `ram_array` macro: one
 //! 32-bit row cell stacked N and then 4N times in a single column.
 //! Every instance shares one left edge, so any step of the engine that
-//! sweeps along x alone degrades to O(N²) here. Smoke mode asserts
-//! hier(4N)/hier(N) <= 6, i.e. the column scales linearly.
+//! sweeps along x alone degrades to O(N²) here. The rows form one run,
+//! whose connectivity summary is built by doubling; what stays linear
+//! is each row's unlinked wordline and rail ends and the boundary pass.
+//! Smoke mode asserts hier(4N)/hier(N) <= 3.5: the engine measures about
+//! 2.4 on a 2-core host, and a per-row merge measures 4.3.
 
 use bisram_bench::harness::black_box;
 use bisram_bench::{banner, quick_harness};
@@ -221,12 +224,17 @@ fn main() {
         );
     }
     let growth = column_times[1] / column_times[0].max(1e-12);
+    let [small_ms, large_ms] = column_times.map(|s| s * 1e3);
     assert!(
-        growth <= 6.0,
-        "hierarchical verification of a column must scale linearly: \
-         4x the rows took {growth:.2}x the time"
+        growth <= 3.5,
+        "hierarchical verification of a column must grow slower than its rows: \
+         4x the rows took {growth:.2}x the time ({small_ms:.2} -> {large_ms:.2} ms)"
     );
-    println!("PASS: hier column scales linearly ({growth:.2}x time for 4x rows)");
+    println!(
+        "PASS: hier column scales linearly ({growth:.2}x time for 4x rows: \
+         {small_ms:.2} ms at {} rows, {large_ms:.2} ms at {} rows)",
+        sizes[0], sizes[1]
+    );
 
     if !smoke {
         let (big, secs) = hier_times.last().expect("hier configurations ran");

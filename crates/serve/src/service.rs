@@ -41,7 +41,9 @@ use bisramgen::diag::{Transport, TransportFaults};
 use bisramgen::field::{
     heterogeneous_chip, simulate_fleet_jobs, ChipConfig, ChipModel, FieldConfig,
 };
-use bisramgen::{compile_with, CellCache, ChipSheet, CompileOptions, PipelineTrace, RamParams};
+use bisramgen::{
+    compile_with, CellCache, ChipSheet, CompileOptions, ParamError, PipelineTrace, RamParams,
+};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -508,7 +510,7 @@ impl Service {
             .strap(c.strap_every, c.strap_lambda)
             .process(process)
             .build()
-            .map_err(|e| JobFailure::bad_request(e.to_string()))?;
+            .map_err(|e| JobFailure::bad_request(param_error(&e)))?;
 
         let mut options = CompileOptions::new()
             .with_cache(Arc::clone(&self.cache))
@@ -760,6 +762,17 @@ impl Service {
         let text = format!("{report}{}", ChipSheet::from_report(&report, &process));
         Ok(Ran::passed(vec![Section::new("chip.txt", text)]))
     }
+}
+
+/// A parameter error as the job spec reads it: a check that judges one
+/// spec key names it, like the job table's own value checks do.
+fn param_error(e: &ParamError) -> String {
+    let key = match e {
+        ParamError::GateSizeTooSmall { .. } => "gate-size",
+        ParamError::StrapSpaceTooSmall { .. } => "strap-lambda",
+        ParamError::Organization(_) | ParamError::Process(_) => return e.to_string(),
+    };
+    format!("key {key:?}: {e}")
 }
 
 #[cfg(test)]

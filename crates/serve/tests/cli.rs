@@ -143,11 +143,11 @@ fn negative_signed_integers_report_their_range() {
     for (args, rule) in [
         (
             ["--gate-size", "-1"],
-            "critical-gate size factor -1 is below minimum size 1",
+            "key \"gate-size\": critical-gate size factor -1 is below minimum size 1",
         ),
         (
             ["--strap-lambda", "-3"],
-            "strap space -3 lambda is below the 12 lambda",
+            "key \"strap-lambda\": strap space -3 lambda is below the 12 lambda",
         ),
     ] {
         let out = bisramgen().args(args).output().expect("spawn");

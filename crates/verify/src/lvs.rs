@@ -96,7 +96,7 @@ pub enum MismatchKind {
 }
 
 /// One label class whose population differs between the two sides.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LvsMismatch {
     /// Net or device class.
     pub kind: MismatchKind,
