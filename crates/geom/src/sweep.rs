@@ -224,36 +224,44 @@ mod tests {
             .collect()
     }
 
+    /// One drawn set of `kind % 5`: scattered rects (kinds 0 and 1),
+    /// tall stacks, which the sweep runs along y (2), a single column of
+    /// unit cells (3), or a mixture of stacks beside scattered shapes,
+    /// where either axis can win, with one stack transposed to a row (4).
+    fn arb_set(rng: &mut StdRng, kind: usize) -> Vec<Rect> {
+        match kind % 5 {
+            0 | 1 => (0..40).map(|_| arb_rect(rng)).collect(),
+            2 => {
+                let gap = rng.gen_range(0i64..20);
+                let jitter = rng.gen_range(0i64..30);
+                stack(rng, 60, gap, jitter)
+            }
+            3 => (0..50)
+                .map(|k| Rect::new(7, 10 * k, 17, 10 * k + 10))
+                .collect(),
+            _ => {
+                let gap = rng.gen_range(0i64..5);
+                let mut v = stack(rng, 30, gap, 0);
+                v.extend((0..20).map(|_| arb_rect(rng)));
+                v.extend(transposed(stack(rng, 10, 0, 0)));
+                v
+            }
+        }
+    }
+
+    /// `rects` with every rectangle's axes swapped.
+    fn transposed(rects: Vec<Rect>) -> Vec<Rect> {
+        rects
+            .into_iter()
+            .map(|r| Rect::new(r.bottom(), r.left(), r.top(), r.right()))
+            .collect()
+    }
+
     #[test]
     fn pair_sweep_matches_all_pairs_reference() {
         let mut rng = StdRng::seed_from_u64(0x5EE9_0001);
         for case in 0..160 {
-            // Scattered sets, tall stacks (which the sweep runs along y),
-            // single columns of unit cells, and mixtures of the three
-            // (stacks beside scattered shapes, where either axis can
-            // win).
-            let rects: Vec<Rect> = match case % 5 {
-                0 | 1 => (0..40).map(|_| arb_rect(&mut rng)).collect(),
-                2 => {
-                    let gap = rng.gen_range(0i64..20);
-                    let jitter = rng.gen_range(0i64..30);
-                    stack(&mut rng, 60, gap, jitter)
-                }
-                3 => (0..50)
-                    .map(|k| Rect::new(7, 10 * k, 17, 10 * k + 10))
-                    .collect(),
-                _ => {
-                    let gap = rng.gen_range(0i64..5);
-                    let mut v = stack(&mut rng, 30, gap, 0);
-                    v.extend((0..20).map(|_| arb_rect(&mut rng)));
-                    v.extend(
-                        stack(&mut rng, 10, 0, 0)
-                            .into_iter()
-                            .map(|r| Rect::new(r.bottom(), r.left(), r.top(), r.right())),
-                    );
-                    v
-                }
-            };
+            let rects = arb_set(&mut rng, case);
             let window = rng.gen_range(0i64..80);
             let mut swept = Vec::new();
             pair_sweep(&rects, window, |i, j| swept.push((i, j)));
@@ -273,9 +281,35 @@ mod tests {
     #[test]
     fn join_sweep_matches_nested_loop_reference() {
         let mut rng = StdRng::seed_from_u64(0x5EE9_0002);
-        for case in 0..64 {
-            let a: Vec<Rect> = (0..25).map(|_| arb_rect(&mut rng)).collect();
-            let b: Vec<Rect> = (0..25).map(|_| arb_rect(&mut rng)).collect();
+        for case in 0..200 {
+            // Every pairing of the `arb_set` kinds on the two sides,
+            // either side transposed, an empty side every seventh case,
+            // and zero-width or zero-height rects mixed in.
+            let mut a = arb_set(&mut rng, case);
+            let mut b = arb_set(&mut rng, case / 5);
+            if case % 3 == 1 {
+                a = transposed(a);
+            }
+            if case % 4 == 2 {
+                b = transposed(b);
+            }
+            match case % 7 {
+                0 => a.clear(),
+                3 => b.clear(),
+                _ => {}
+            }
+            if case % 2 == 0 {
+                for side in [&mut a, &mut b] {
+                    for _ in 0..5 {
+                        let r = arb_rect(&mut rng);
+                        side.push(if rng.gen_range(0u32..2) == 0 {
+                            Rect::new(r.left(), r.bottom(), r.left(), r.top())
+                        } else {
+                            Rect::new(r.left(), r.bottom(), r.right(), r.bottom())
+                        });
+                    }
+                }
+            }
             let window = rng.gen_range(0i64..80);
             let mut swept = Vec::new();
             join_sweep(&a, &b, window, |i, j| swept.push((i, j)));
@@ -288,7 +322,6 @@ mod tests {
                     }
                 }
             }
-            reference.sort_unstable();
             assert_eq!(swept, reference, "case {case} window {window}");
         }
     }

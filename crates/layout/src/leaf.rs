@@ -970,20 +970,6 @@ impl LeafSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bisram_tech::drc;
-
-    #[test]
-    fn every_leaf_cell_is_drc_clean_in_every_process() {
-        for process in Process::builtin() {
-            for cell in library(&process) {
-                drc::assert_clean(
-                    process.rules(),
-                    cell.flatten(),
-                    &format!("{} in {}", cell.name(), process.name()),
-                );
-            }
-        }
-    }
 
     #[test]
     fn leaf_cells_scale_with_lambda() {

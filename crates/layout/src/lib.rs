@@ -20,9 +20,10 @@
 //! * [`export`] — CIF and SVG writers,
 //! * [`area`] — area accounting feeding the Table I overhead report.
 //!
-//! Every generated leaf cell is checked DRC-clean against its process in
-//! the test suite (`bisram_tech::drc`), which is what makes the
-//! design-rule-independence claim testable.
+//! Every generated leaf cell and tiling is checked DRC-clean against its
+//! process, in all eight rule classes, by the workspace's one DRC engine
+//! (`bisram_verify::drc`) in the `layout_integrity` integration tests,
+//! which is what makes the design-rule-independence claim testable.
 //!
 //! # Examples
 //!

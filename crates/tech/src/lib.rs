@@ -10,9 +10,11 @@
 //! * lambda-based [`DesignRules`] with per-process scaling,
 //! * [`DeviceParams`] (mobilities, oxide capacitance, thresholds, parasitic
 //!   capacitances, sheet resistances) feeding the circuit models,
-//! * three built-in [`Process`] definitions mirroring the paper's choices,
-//! * a flat [`drc`] engine used by the layout tests to prove that every
-//!   generated leaf cell is rule-correct.
+//! * three built-in [`Process`] definitions mirroring the paper's choices.
+//!
+//! The rules are checked by the one DRC engine, `bisram_verify::drc`,
+//! which the layout integration tests run over every generated leaf cell
+//! and tiling in every process.
 //!
 //! # Examples
 //!
@@ -27,8 +29,11 @@
 //! assert_eq!(p.rules().min_width(Layer::Metal1), 1050);
 //! ```
 
+// Invalid processes surface as a typed `ProcessError`, never a panic.
+// Enforced by CI clippy.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 mod device;
-pub mod drc;
 mod layer;
 mod process;
 mod rules;

@@ -1,21 +1,81 @@
-//! Full-coverage scanline design-rule checker.
+//! The scanline design-rule checker: the one DRC engine of the workspace.
 //!
-//! Evaluates every [`RuleClass`] over a flat bag of `(Layer, Rect)`
-//! shapes: width and spacing (as in `bisram_tech::drc`, same exemptions),
-//! plus cut enclosure, gate and source/drain extension, poly-to-diffusion
-//! spacing, well enclosure and select enclosure. Candidate pairs come from
-//! the interval sweep in [`bisram_geom::sweep`], so whole macrocells are
-//! checkable; coverage questions use the exact rectangle-subtraction test
-//! from the same module.
+//! [`check`] evaluates every [`RuleClass`] over a flat bag of
+//! `(Layer, Rect)` shapes: width and same-layer spacing, plus cut
+//! enclosure, gate and source/drain extension, poly-to-diffusion spacing,
+//! well enclosure and select enclosure. Signoff, the hierarchical
+//! certificates (through [`check_clipped`]) and the layout integration
+//! tests all run it. Candidate pairs come from the interval sweep in
+//! [`bisram_geom::sweep`], so whole macrocells are checkable; coverage
+//! questions use the exact rectangle-subtraction test from the same
+//! module.
+//!
+//! Shapes on the same layer that touch or overlap are connected (merged)
+//! and exempt from the spacing rule between themselves, which matches how
+//! the leaf-cell generators compose rectangles into wires and devices. A
+//! shape narrower than the minimum width is legal when strictly larger
+//! metal on its layer covers it.
 //!
 //! The output order is deterministic: violations are grouped by rule class
-//! in [`RuleClass::ALL`] order, then follow input shape order.
+//! in [`RuleClass::ALL`] order, then follow layer and input shape order.
+//! [`check_pairwise`] is the all-pairs width/spacing reference that the
+//! tests and the `verify_throughput` bench compare the engine against.
 
 use crate::error::VerifyError;
 use crate::gates;
 use bisram_geom::{sweep, Coord, Rect};
-use bisram_tech::drc::RuleClass;
 use bisram_tech::{DesignRules, Layer};
+
+/// The classes of geometric design rules [`check`] evaluates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum RuleClass {
+    /// Minimum width of a shape on a layer.
+    Width,
+    /// Minimum same-layer spacing between unconnected shapes.
+    Spacing,
+    /// Minimum conductor enclosure of a contact/via cut.
+    CutEnclosure,
+    /// Minimum poly extension past the gate (poly endcap).
+    GateExtension,
+    /// Minimum diffusion extension past the gate (source/drain landing).
+    SdExtension,
+    /// Minimum spacing between poly and unrelated diffusion.
+    PolyActiveSpace,
+    /// Minimum well enclosure of diffusion inside it.
+    WellEnclosure,
+    /// Minimum select enclosure of the diffusion it implants.
+    SelectEnclosure,
+}
+
+impl RuleClass {
+    /// All rule classes, in reporting order.
+    pub const ALL: [RuleClass; 8] = [
+        RuleClass::Width,
+        RuleClass::Spacing,
+        RuleClass::CutEnclosure,
+        RuleClass::GateExtension,
+        RuleClass::SdExtension,
+        RuleClass::PolyActiveSpace,
+        RuleClass::WellEnclosure,
+        RuleClass::SelectEnclosure,
+    ];
+}
+
+impl std::fmt::Display for RuleClass {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let name = match self {
+            RuleClass::Width => "width",
+            RuleClass::Spacing => "spacing",
+            RuleClass::CutEnclosure => "cut-enclosure",
+            RuleClass::GateExtension => "gate-extension",
+            RuleClass::SdExtension => "sd-extension",
+            RuleClass::PolyActiveSpace => "poly-active-space",
+            RuleClass::WellEnclosure => "well-enclosure",
+            RuleClass::SelectEnclosure => "select-enclosure",
+        };
+        f.write_str(name)
+    }
+}
 
 /// A single violation from the full checker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,19 +194,63 @@ pub fn check_clipped(
     Ok(out)
 }
 
-/// Runs the full eight-class check. Degenerate rectangles are ignored, as
-/// in the width/spacing checker.
-pub fn check(
-    rules: &DesignRules,
-    shapes: &[(Layer, Rect)],
-) -> Result<Vec<DrcViolation>, VerifyError> {
-    // Bucket by layer, preserving input order within each layer.
+/// The non-degenerate shapes bucketed by layer id, in input order within
+/// each layer.
+fn by_layer(shapes: &[(Layer, Rect)]) -> Vec<Vec<Rect>> {
     let mut by_layer: Vec<Vec<Rect>> = vec![Vec::new(); Layer::ALL.len()];
     for &(layer, rect) in shapes {
         if !rect.is_degenerate() {
             by_layer[layer.id().index() as usize].push(rect);
         }
     }
+    by_layer
+}
+
+fn width_violation(layer: Layer, rect: Rect, required: Coord) -> DrcViolation {
+    DrcViolation {
+        class: RuleClass::Width,
+        layer,
+        rect,
+        other: None,
+        actual: rect.min_dimension(),
+        required,
+    }
+}
+
+fn spacing_violation(layer: Layer, a: Rect, b: Rect, required: Coord) -> DrcViolation {
+    DrcViolation {
+        class: RuleClass::Spacing,
+        layer,
+        rect: a,
+        other: Some(b),
+        actual: a.spacing(b),
+        required,
+    }
+}
+
+/// Runs the full eight-class check. Degenerate rectangles are ignored.
+///
+/// ```
+/// use bisram_geom::Rect;
+/// use bisram_tech::{DesignRules, Layer};
+/// use bisram_verify::drc::{self, RuleClass};
+///
+/// let rules = DesignRules::scmos(100);
+/// // Two metal1 shapes 100 nm apart; metal1 needs 300.
+/// let shapes = [
+///     (Layer::Metal1, Rect::new(0, 0, 300, 300)),
+///     (Layer::Metal1, Rect::new(400, 0, 700, 300)),
+/// ];
+/// let violations = drc::check(&rules, &shapes)?;
+/// assert_eq!(violations.len(), 1);
+/// assert_eq!(violations[0].class, RuleClass::Spacing);
+/// # Ok::<(), bisram_verify::VerifyError>(())
+/// ```
+pub fn check(
+    rules: &DesignRules,
+    shapes: &[(Layer, Rect)],
+) -> Result<Vec<DrcViolation>, VerifyError> {
+    let by_layer = by_layer(shapes);
     let on = |l: Layer| &by_layer[l.id().index() as usize];
 
     let mut out: Vec<DrcViolation> = Vec::new();
@@ -165,13 +269,12 @@ pub fn check(
         let mut uf = sweep::UnionFind::new(rects.len());
         for &(i, j) in &pairs {
             let (a, b) = (rects[i], rects[j]);
-            if a != b {
-                if b.contains_rect(a) && b.area() > a.area() {
-                    covered[i] = true;
-                }
-                if a.contains_rect(b) && a.area() > b.area() {
-                    covered[j] = true;
-                }
+            // Strictly larger: exact duplicates do not cover each other.
+            if b.contains_rect(a) && b.area() > a.area() {
+                covered[i] = true;
+            }
+            if a.contains_rect(b) && a.area() > b.area() {
+                covered[j] = true;
             }
             if a.touches(b) {
                 uf.union(i, j);
@@ -179,27 +282,12 @@ pub fn check(
         }
         for (i, &r) in rects.iter().enumerate() {
             if r.min_dimension() < min_w && !covered[i] {
-                out.push(DrcViolation {
-                    class: RuleClass::Width,
-                    layer,
-                    rect: r,
-                    other: None,
-                    actual: r.min_dimension(),
-                    required: min_w,
-                });
+                out.push(width_violation(layer, r, min_w));
             }
         }
         for &(i, j) in &pairs {
-            let s = rects[i].spacing(rects[j]);
-            if s < min_s && uf.find(i) != uf.find(j) {
-                spacing_violations.push(DrcViolation {
-                    class: RuleClass::Spacing,
-                    layer,
-                    rect: rects[i],
-                    other: Some(rects[j]),
-                    actual: s,
-                    required: min_s,
-                });
+            if rects[i].spacing(rects[j]) < min_s && uf.find(i) != uf.find(j) {
+                spacing_violations.push(spacing_violation(layer, rects[i], rects[j], min_s));
             }
         }
     }
@@ -388,12 +476,72 @@ pub fn check(
     Ok(out)
 }
 
+/// The O(n²) all-pairs width/spacing reference: returns exactly the
+/// [`RuleClass::Width`] and [`RuleClass::Spacing`] findings of [`check`],
+/// in the same order.
+///
+/// Only the unit tests and the `verify_throughput` bench run it, to check
+/// the scanline engine against an obviously correct loop and to measure
+/// the gap. It is quadratic in the shapes per layer, so never run it on
+/// macrocell flattenings.
+pub fn check_pairwise(rules: &DesignRules, shapes: &[(Layer, Rect)]) -> Vec<DrcViolation> {
+    let by_layer = by_layer(shapes);
+    let (mut out, mut spacing_violations) = (Vec::new(), Vec::new());
+    for layer in Layer::ALL {
+        let rects = &by_layer[layer.id().index() as usize];
+        let (min_w, min_s) = (rules.min_width(layer), rules.min_space(layer));
+        for &r in rects {
+            let covered = rects
+                .iter()
+                .any(|&o| o.contains_rect(r) && o.area() > r.area());
+            if r.min_dimension() < min_w && !covered {
+                out.push(width_violation(layer, r, min_w));
+            }
+        }
+        let n = rects.len();
+        let mut uf = sweep::UnionFind::new(n);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if rects[i].touches(rects[j]) {
+                    uf.union(i, j);
+                }
+            }
+        }
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if rects[i].spacing(rects[j]) < min_s && uf.find(i) != uf.find(j) {
+                    spacing_violations.push(spacing_violation(layer, rects[i], rects[j], min_s));
+                }
+            }
+        }
+    }
+    out.append(&mut spacing_violations);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bisram_rng::rngs::StdRng;
+    use bisram_rng::{Rng, SeedableRng};
 
     fn rules() -> DesignRules {
-        DesignRules::scmos(100)
+        DesignRules::scmos(100) // metal1: w=300 s=300; poly: w=200 s=200
+    }
+
+    fn width_spacing(v: &[DrcViolation]) -> Vec<DrcViolation> {
+        v.iter()
+            .filter(|v| matches!(v.class, RuleClass::Width | RuleClass::Spacing))
+            .cloned()
+            .collect()
+    }
+
+    /// Runs the engine, asserts that its width/spacing findings equal the
+    /// all-pairs reference's, and returns every finding.
+    fn check_both(shapes: &[(Layer, Rect)]) -> Vec<DrcViolation> {
+        let v = check(&rules(), shapes).expect("consistent input");
+        assert_eq!(width_spacing(&v), check_pairwise(&rules(), shapes));
+        v
     }
 
     /// A minimal clean NMOS: diffusion, crossing gate, select, and a
@@ -569,7 +717,7 @@ mod tests {
             (Layer::Metal1, Rect::new(0, 0, 200, 1000)),
             (Layer::Metal1, Rect::new(300, 0, 700, 1000)),
         ];
-        let v = check(&rules(), &shapes).expect("consistent input");
+        let v = check_both(&shapes);
         assert_eq!(v.len(), 2, "{v:?}");
         assert_eq!(v[0].class, RuleClass::Width);
         assert_eq!(v[1].class, RuleClass::Spacing);
@@ -636,5 +784,212 @@ mod tests {
             s.contains("gate-extension") && s.contains("[600,400"),
             "{s}"
         );
+    }
+
+    // Width and spacing: connectivity, coverage and layer exemptions,
+    // each input also checked against the all-pairs reference.
+
+    #[test]
+    fn clean_layout_passes() {
+        let shapes = vec![
+            (Layer::Metal1, Rect::new(0, 0, 300, 2000)),
+            (Layer::Metal1, Rect::new(600, 0, 900, 2000)),
+            (Layer::Poly, Rect::new(0, 0, 200, 500)),
+        ];
+        let v = check_both(&shapes);
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn narrow_shape_flagged() {
+        let v = check_both(&[(Layer::Metal1, Rect::new(0, 0, 200, 1000))]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(
+            (v[0].class, v[0].layer, v[0].actual, v[0].required),
+            (RuleClass::Width, Layer::Metal1, 200, 300)
+        );
+    }
+
+    #[test]
+    fn close_shapes_flagged_but_touching_exempt() {
+        // Touching shapes are connected: no spacing violation.
+        let connected = vec![
+            (Layer::Metal1, Rect::new(0, 0, 300, 300)),
+            (Layer::Metal1, Rect::new(300, 0, 600, 300)),
+        ];
+        assert!(check_both(&connected).is_empty());
+
+        // 100 nm gap on metal1 violates the 300 nm rule.
+        let apart = vec![
+            (Layer::Metal1, Rect::new(0, 0, 300, 300)),
+            (Layer::Metal1, Rect::new(400, 0, 700, 300)),
+        ];
+        let v = check_both(&apart);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].class, v[0].actual), (RuleClass::Spacing, 100));
+        assert_eq!(v[0].other, Some(apart[1].1));
+    }
+
+    #[test]
+    fn transitive_connectivity_exempts_spacing() {
+        // `a` and `c` are 100 apart and do not touch, but both touch the
+        // bar `b` above them, so they are one net: no violation.
+        let a = (Layer::Metal1, Rect::new(0, 0, 300, 300));
+        let b = (Layer::Metal1, Rect::new(0, 300, 1000, 600));
+        let c = (Layer::Metal1, Rect::new(400, 0, 700, 300));
+        assert!(check_both(&[a, b, c]).is_empty());
+        // Without the bar the same pair is a spacing violation.
+        let v = check_both(&[a, c]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].class, v[0].actual), (RuleClass::Spacing, 100));
+    }
+
+    #[test]
+    fn covered_stub_not_a_width_violation() {
+        let shapes = vec![
+            (Layer::Metal1, Rect::new(0, 0, 1000, 1000)),
+            (Layer::Metal1, Rect::new(10, 10, 110, 60)), // thin, but covered
+        ];
+        assert!(check_both(&shapes).is_empty());
+
+        // Exact duplicates do not cover each other: both copies of a
+        // narrow wire are width violations (and, overlapping, connected).
+        let stub = (Layer::Metal1, Rect::new(2000, 0, 2100, 500));
+        let v = check_both(&[stub, stub]);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v
+            .iter()
+            .all(|v| v.class == RuleClass::Width && v.actual == 100));
+    }
+
+    #[test]
+    fn degenerate_shapes_ignored() {
+        // A zero-width line would be a width violation if it counted.
+        let v = check_both(&[(Layer::Metal1, Rect::new(0, 0, 0, 500))]);
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn different_layers_do_not_interact() {
+        let shapes = vec![
+            (Layer::Metal1, Rect::new(0, 0, 300, 300)),
+            (Layer::Metal2, Rect::new(310, 0, 610, 300)),
+            (Layer::Metal3, Rect::new(0, 310, 500, 810)),
+        ];
+        let v = check_both(&shapes);
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn violation_display_is_informative() {
+        let v = check_both(&[(Layer::Poly, Rect::new(0, 0, 100, 400))]);
+        let s = v[0].to_string();
+        assert!(
+            s.contains("poly") && s.contains("100") && s.contains("200"),
+            "{s}"
+        );
+    }
+
+    #[test]
+    fn report_names_evaluated_rule_classes() {
+        // Every class has its own name, and `ALL` lists them in the
+        // `Ord` order the output is grouped by.
+        let names: Vec<String> = RuleClass::ALL.iter().map(|c| c.to_string()).collect();
+        assert_eq!(names[0], "width");
+        let mut distinct = names.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 8);
+        let mut sorted = RuleClass::ALL;
+        sorted.sort_unstable();
+        assert_eq!(sorted, RuleClass::ALL);
+        // Each finding names its class first.
+        let mut shapes = clean_nmos();
+        shapes.push((Layer::Metal2, Rect::new(0, 0, 100, 900)));
+        shapes[2].1 = Rect::new(200, 300, 1300, 1600);
+        let v = check(&rules(), &shapes).expect("consistent input");
+        assert_eq!(v.len(), 2, "{v:?}");
+        for f in &v {
+            assert!(f.to_string().starts_with(&f.class.to_string()), "{f}");
+        }
+        assert!(check(&rules(), &[]).expect("empty input").is_empty());
+    }
+
+    #[test]
+    fn scanline_matches_pairwise_on_random_layouts() {
+        let mut rng = StdRng::seed_from_u64(0xD2C_0003);
+        let mut extras = StdRng::seed_from_u64(0xD2C_0004);
+        let mut flagged = 0;
+        for case in 0..64 {
+            let mut shapes: Vec<(Layer, Rect)> = (0..60)
+                .map(|_| {
+                    let layer = match rng.gen_range(0u32..3) {
+                        0 => Layer::Metal1,
+                        1 => Layer::Metal2,
+                        _ => Layer::Poly,
+                    };
+                    let x = rng.gen_range(-2000i64..2000);
+                    let y = rng.gen_range(-2000i64..2000);
+                    let w = rng.gen_range(0i64..900);
+                    let h = rng.gen_range(0i64..900);
+                    (layer, Rect::new(x, y, x + w, y + h))
+                })
+                .collect();
+            // Exact duplicates of a few shapes, and a stacked metal1
+            // column (one shared left edge, gaps around the spacing
+            // rule) that the sweep runs along y.
+            for _ in 0..4 {
+                let k = extras.gen_range(0usize..60);
+                shapes.push(shapes[k]);
+            }
+            let (x, w) = (
+                extras.gen_range(-2000i64..2000),
+                extras.gen_range(100i64..600),
+            );
+            let mut y = extras.gen_range(-2000i64..0);
+            for _ in 0..12 {
+                let h = extras.gen_range(100i64..400);
+                shapes.push((Layer::Metal1, Rect::new(x, y, x + w, y + h)));
+                y += h + extras.gen_range(0i64..450);
+            }
+            let fast = check(&rules(), &shapes).expect("consistent input");
+            let slow = check_pairwise(&rules(), &shapes);
+            assert_eq!(width_spacing(&fast), slow, "case {case}");
+            flagged += slow.len();
+        }
+        assert!(flagged > 64, "the sets exercise the rules: {flagged}");
+    }
+
+    // Deterministic seeded sweeps; failing geometry is named in each
+    // assert.
+
+    #[test]
+    fn far_apart_wide_shapes_always_clean() {
+        let mut rng = StdRng::seed_from_u64(0xD2C_0001);
+        for case in 0..256 {
+            let w = rng.gen_range(300i64..1000);
+            let h = rng.gen_range(300i64..1000);
+            let gap = rng.gen_range(300i64..2000);
+            let shapes = vec![
+                (Layer::Metal1, Rect::new(0, 0, w, h)),
+                (Layer::Metal1, Rect::new(w + gap, 0, 2 * w + gap, h)),
+            ];
+            let v = check(&rules(), &shapes).expect("consistent input");
+            assert!(v.is_empty(), "case {case}: w={w} h={h} gap={gap}: {v:?}");
+        }
+    }
+
+    #[test]
+    fn single_wide_shape_always_clean() {
+        let mut rng = StdRng::seed_from_u64(0xD2C_0002);
+        for case in 0..256 {
+            let x = rng.gen_range(-1000i64..1000);
+            let y = rng.gen_range(-1000i64..1000);
+            let w = rng.gen_range(300i64..5000);
+            let h = rng.gen_range(300i64..5000);
+            let shapes = vec![(Layer::Metal1, Rect::new(x, y, x + w, y + h))];
+            let v = check(&rules(), &shapes).expect("consistent input");
+            assert!(v.is_empty(), "case {case}: x={x} y={y} w={w} h={h}: {v:?}");
+        }
     }
 }

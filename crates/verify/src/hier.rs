@@ -40,7 +40,7 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use bisram_geom::{sweep, Coord, Orientation, Point, Rect, Transform};
 use bisram_layout::{Cell, Instance};
@@ -158,6 +158,10 @@ impl CertificateStore for NoCertStore {
 
 /// A simple thread-safe in-memory store, useful for tests and for
 /// standalone (non-pipeline) hierarchical verification.
+///
+/// A lock poisoned by a panicking builder is taken over as is: the map
+/// only ever holds finished certificates, and the counter is a plain
+/// integer, so neither can be left half-written.
 #[derive(Default)]
 pub struct MemCertStore {
     map: Mutex<HashMap<u64, Arc<CellCertificate>>>,
@@ -172,12 +176,15 @@ impl MemCertStore {
 
     /// How many certificates were built (cache misses) so far.
     pub fn builds(&self) -> usize {
-        *self.builds.lock().expect("store poisoned")
+        *self.builds.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// How many distinct certificates the store holds.
     pub fn len(&self) -> usize {
-        self.map.lock().expect("store poisoned").len()
+        self.map
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// True when the store holds no certificates.
@@ -192,17 +199,22 @@ impl CertificateStore for MemCertStore {
         key: u64,
         build: &mut dyn FnMut() -> CellCertificate,
     ) -> Arc<CellCertificate> {
-        if let Some(c) = self.map.lock().expect("store poisoned").get(&key) {
+        if let Some(c) = self
+            .map
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
             return c.clone();
         }
         // Build outside the lock: `build` recurses back into the store
         // for child cells. Duplicate concurrent builds are acceptable —
         // certificates are pure functions of the key.
         let built = Arc::new(build());
-        *self.builds.lock().expect("store poisoned") += 1;
+        *self.builds.lock().unwrap_or_else(PoisonError::into_inner) += 1;
         self.map
             .lock()
-            .expect("store poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .entry(key)
             .or_insert(built)
             .clone()

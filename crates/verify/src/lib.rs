@@ -14,6 +14,10 @@
 //! [`verify_cell`] bundles all three for one hierarchical cell and
 //! returns a [`CellVerifyReport`].
 
+// Bad geometry surfaces as a typed `VerifyError`, never a panic.
+// Enforced by CI clippy.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod drc;
 pub mod error;
 pub mod extract;

@@ -22,10 +22,10 @@ use bisram_layout::leaf::LeafSpec;
 use bisram_layout::Cell;
 use bisram_rng::rngs::StdRng;
 use bisram_rng::{Rng, SeedableRng};
-use bisram_tech::drc::RuleClass;
 use bisram_tech::{Layer, Process};
+use bisram_verify::drc::{self, RuleClass};
 use bisram_verify::{
-    drc, extract, leaf_schematic, lvs, verify_cell, verify_cell_hier, CellSchematic, NoCertStore,
+    extract, leaf_schematic, lvs, verify_cell, verify_cell_hier, CellSchematic, NoCertStore,
     SchematicLib,
 };
 

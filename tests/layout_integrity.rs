@@ -5,10 +5,70 @@
 use bisram_geom::Rect;
 use bisram_layout::placer::{place_with_margin, Macro};
 use bisram_layout::{export, leaf, tile, Cell};
-use bisram_tech::{drc, Layer, Process};
+use bisram_tech::{Layer, Process};
+use bisram_verify::drc;
 use bisramgen::{compile, compile_with, CellCache, CompileOptions, RamParams};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Runs the eight-class DRC engine over `shapes` and panics, naming
+/// `what` and the first five findings, unless they are clean.
+fn assert_drc_clean(process: &Process, shapes: &[(Layer, Rect)], what: &str) {
+    let violations = drc::check(process.rules(), shapes).expect("consistent geometry");
+    if !violations.is_empty() {
+        let mut msg = format!(
+            "{what} in {}: {} DRC violation(s):\n",
+            process.name(),
+            violations.len()
+        );
+        for v in violations.iter().take(5) {
+            msg.push_str(&format!("  - {v}\n"));
+        }
+        panic!("{msg}");
+    }
+}
+
+#[test]
+fn every_leaf_cell_is_drc_clean_in_every_process() {
+    for process in Process::builtin() {
+        for cell in leaf::library(&process) {
+            assert_drc_clean(&process, &cell.flatten(), cell.name());
+        }
+    }
+}
+
+#[test]
+fn tiled_sram_array_is_drc_clean() {
+    // The crucial array-level check: abutting instances must not create
+    // cross-boundary violations in any process.
+    for process in Process::builtin() {
+        let master = Arc::new(leaf::sram6t(&process));
+        let grid = tile::tile_grid("arr", master, 4, 4);
+        assert_drc_clean(&process, &grid.flatten(), "4x4 sram array");
+    }
+}
+
+#[test]
+fn tiled_pla_plane_is_drc_clean() {
+    for process in Process::builtin() {
+        let on = Arc::new(leaf::pla_crosspoint(&process, true));
+        let grid = tile::tile_grid("and_plane", on, 6, 6);
+        assert_drc_clean(&process, &grid.flatten(), "6x6 programmed PLA plane");
+    }
+}
+
+#[test]
+fn strapped_array_remains_drc_clean() {
+    // The strap gap must clear the widest same-layer spacing rule (the
+    // nwell, 9 lambda): the compiler's default strap space is 12 lambda
+    // for exactly this reason.
+    for process in Process::builtin() {
+        let l = process.rules().lambda();
+        let master = Arc::new(leaf::sram6t(&process));
+        let grid = tile::tile_with_straps("arr", master, 2, 8, 4, 12 * l);
+        assert_drc_clean(&process, &grid.flatten(), "strapped array");
+    }
+}
 
 #[test]
 fn compiled_module_core_is_drc_clean_in_every_process() {
@@ -33,14 +93,7 @@ fn compiled_module_core_is_drc_clean_in_every_process() {
         );
         // Note: route shapes (metal3) connect macros and may touch many
         // rects; the DRC treats touching shapes as connected.
-        let violations = drc::check(process.rules(), shapes);
-        assert!(
-            violations.is_empty(),
-            "{}: {} violations, first: {}",
-            process.name(),
-            violations.len(),
-            violations[0]
-        );
+        assert_drc_clean(&process, &shapes, "64x4 module");
     }
 }
 
